@@ -98,158 +98,81 @@ def is_variant_set(G: Graph, D: DistMatrix, X: VertexSet, variant: str) -> bool:
     return True
 
 
-class _GpSearch:
-    """Branch and bound over the downward-closed family of gp sets.
+def _branch_and_bound(bet, order, accept, floor: int, ceiling: int):
+    """Include-first branch and bound over the downward-closed gp sets.
 
     Feasibility is a 3-uniform conflict system: the triples (u, x, v)
-    with x strictly between u and v.  A set is feasible iff it contains
-    no full triple, so the search can prune on the first violation.
-    Vertices are tried in descending eccentricity order and the bound is
-    the number of remaining candidate vertices.
+    with x strictly between u and v (bet[u][v] holds x).  A set is
+    feasible iff it contains no full triple, so the search prunes on the
+    first violation.  Choosing u and v forbids every vertex between them,
+    and the bound is the number of vertices later in ``order`` that are
+    not forbidden.
+
+    A feasible set counts only if ``accept(xmask)`` holds (always, when
+    accept is None); dual is this search with a complement-convexity
+    accept.  Returns ``(size, members)`` for the first counted set in
+    include-first order that is larger than ``floor``, improved on until
+    the search is exhausted or a set reaches ``ceiling``.  ``ceiling``
+    must bound every counted set: no set is grown past it.  When nothing
+    beats ``floor`` the result is ``(floor, ())``.
+
+    With ``order`` ascending, include-first search meets sets of equal
+    size in lexicographic order, and the bound only cuts subtrees that
+    cannot beat the best so far.  So ``floor=value-1, ceiling=value``
+    returns the lexicographically least optimum.
     """
+    n = len(order)
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | (1 << order[i])
+    best = floor
+    best_members = ()
 
-    def __init__(self, D: DistMatrix):
-        self.n = D.n
-        self.bet = interval_masks(D)
-        ecc = [max(row) for row in D.d]
-        self.order = sorted(range(self.n), key=lambda v: (-ecc[v], v))
-        suffix = [0] * (self.n + 1)
-        for i in range(self.n - 1, -1, -1):
-            suffix[i] = suffix[i + 1] | (1 << self.order[i])
-        self.suffix = suffix
-        self.full = (1 << self.n) - 1
-
-    def _complement_is_convex(self, xmask: int) -> bool:
-        comp = list(bits(self.full & ~xmask))
-        bet = self.bet
-        for i, u in enumerate(comp):
-            bu = bet[u]
-            for v in comp[i + 1 :]:
-                if bu[v] & xmask:
-                    return False
-        return True
-
-    def max_gp(self) -> int:
-        n, order, bet, suffix = self.n, self.order, self.bet, self.suffix
-        best = 0
-
-        def rec(i: int, xmask: int, xs: list, forb: int, size: int):
-            nonlocal best
-            if size > best:
-                best = size
-            while i < n:
-                if size + (suffix[i] & ~forb).bit_count() <= best:
-                    return
-                v = order[i]
-                i += 1
-                bit = 1 << v
-                if forb & bit:
-                    continue
-                newmask = xmask | bit
-                bv = bet[v]
-                grown = forb
-                ok = True
-                for u in xs:
-                    b = bv[u]
-                    if b & newmask:
-                        ok = False
-                        break
-                    grown |= b
-                if ok:
-                    xs.append(v)
+    def rec(i: int, xmask: int, xs: list, forb: int, size: int):
+        nonlocal best, best_members
+        while i < n:
+            if best == ceiling or size + (suffix[i] & ~forb).bit_count() <= best:
+                return
+            v = order[i]
+            i += 1
+            bit = 1 << v
+            if forb & bit:
+                continue
+            newmask = xmask | bit
+            bv = bet[v]
+            grown = forb
+            ok = True
+            for u in xs:
+                b = bv[u]
+                if b & newmask:
+                    ok = False
+                    break
+                grown |= b
+            if ok:
+                xs.append(v)
+                if size + 1 > best and (accept is None or accept(newmask)):
+                    best = size + 1
+                    best_members = tuple(xs)
+                if size + 1 < ceiling:
                     rec(i, newmask, xs, grown, size + 1)
-                    xs.pop()
-                # falling through the loop excludes v
+                xs.pop()
+            # falling through the loop excludes v
 
-        rec(0, 0, [], 0, 0)
-        return best
-
-    def max_dual(self) -> int:
-        """Maximum gp set whose complement is convex (0 when only the
-        empty set qualifies)."""
-        n, order, bet, suffix = self.n, self.order, self.bet, self.suffix
-        best = 0
-
-        def rec(i: int, xmask: int, xs: list, forb: int, size: int):
-            nonlocal best
-            while i < n:
-                if size + (suffix[i] & ~forb).bit_count() <= best:
-                    return
-                v = order[i]
-                i += 1
-                bit = 1 << v
-                if forb & bit:
-                    continue
-                newmask = xmask | bit
-                bv = bet[v]
-                grown = forb
-                ok = True
-                for u in xs:
-                    b = bv[u]
-                    if b & newmask:
-                        ok = False
-                        break
-                    grown |= b
-                if ok:
-                    if size + 1 > best and self._complement_is_convex(newmask):
-                        best = size + 1
-                    xs.append(v)
-                    rec(i, newmask, xs, grown, size + 1)
-                    xs.pop()
-
-        rec(0, 0, [], 0, 0)
-        return best
-
-    def lex_witness(self, target: int, require_convex: bool):
-        """Lexicographically least feasible set of the given cardinality.
-
-        Plain index-order depth-first search, so the first hit is the
-        least sorted tuple.  With require_convex the complement convexity
-        filter runs at full cardinality only.
-        """
-        if target == 0:
-            return ()
-        n, bet = self.n, self.bet
-        chosen: list[int] = []
-
-        def rec(start: int, xmask: int, forb: int, size: int) -> bool:
-            if size == target:
-                return not require_convex or self._complement_is_convex(xmask)
-            for v in range(start, n):
-                if size + (n - v) < target:
-                    return False
-                bit = 1 << v
-                if forb & bit:
-                    continue
-                newmask = xmask | bit
-                bv = bet[v]
-                grown = forb
-                ok = True
-                for u in chosen:
-                    b = bv[u]
-                    if b & newmask:
-                        ok = False
-                        break
-                    grown |= b
-                if ok:
-                    chosen.append(v)
-                    if rec(v + 1, newmask, grown, size + 1):
-                        return True
-                    chosen.pop()
-            return False
-
-        found = rec(0, 0, 0, 0)
-        assert found, "witness search must succeed at the computed value"
-        return tuple(chosen)
+    rec(0, 0, [], 0, 0)
+    return best, best_members
 
 
 def solve(G: Graph, variant: str) -> Certificate:
     """Exact certificate for one variant of a connected graph.
 
-    total uses the simplicial set directly, outer takes a maximum clique
-    of the strong resolving graph, gp runs branch and bound over the
-    betweenness conflicts, and dual filters the same search by complement
-    convexity.  Witnesses are lexicographically least among the optima.
+    total uses the simplicial set directly and outer takes a maximum
+    clique of the strong resolving graph.  gp and dual run the same
+    branch and bound over the betweenness conflicts; dual only adds a
+    complement-convexity accept, since the dual sets are exactly the gp
+    sets with a convex complement.  That search runs twice: once in
+    descending eccentricity order for the value, then in ascending
+    vertex order, stopping at the first set of that value, for the
+    witness.  Witnesses are lexicographically least among the optima.
     """
     _check_variant(variant)
     if G.n == 0:
@@ -262,15 +185,28 @@ def solve(G: Graph, variant: str) -> Certificate:
     if variant == "outer":
         size, witness = maximum_clique(strong_resolving_graph(G))
         return Certificate("outer", size, VertexSet(G.n, witness), "clique")
+    n = G.n
     D = all_pairs_distances(G)
-    search = _GpSearch(D)
-    if variant == "gp":
-        value = search.max_gp()
-        witness = search.lex_witness(value, require_convex=False)
-    else:
-        value = search.max_dual()
-        witness = search.lex_witness(value, require_convex=True)
-    return Certificate(variant, value, VertexSet(G.n, witness), "branch_and_bound")
+    bet = interval_masks(D)
+    accept = None
+    if variant == "dual":
+        full = (1 << n) - 1
+
+        def accept(xmask: int) -> bool:
+            comp = list(bits(full & ~xmask))
+            for i, u in enumerate(comp):
+                bu = bet[u]
+                for v in comp[i + 1 :]:
+                    if bu[v] & xmask:
+                        return False
+            return True
+
+    ecc = [max(row) for row in D.d]
+    order = sorted(range(n), key=lambda v: (-ecc[v], v))
+    value, witness = _branch_and_bound(bet, order, accept, 0, n)
+    if value:
+        _, witness = _branch_and_bound(bet, range(n), accept, value - 1, value)
+    return Certificate(variant, value, VertexSet(n, witness), "branch_and_bound")
 
 
 def variant_feasibility(D: DistMatrix, variant: str) -> np.ndarray:

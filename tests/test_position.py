@@ -18,6 +18,7 @@ from genpos import (
     is_positionable,
     is_variant_set,
     random_connected,
+    random_tree,
     simplicial_set,
     solve,
     variant_feasibility,
@@ -263,10 +264,15 @@ def test_popcount_table():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    n=st.integers(min_value=3, max_value=8),
+    n=st.integers(min_value=3, max_value=14),
     seed=st.integers(min_value=0, max_value=10**6),
+    tree=st.booleans(),
 )
-def test_solver_oracle_agreement_random(n, seed):
-    G = random_connected(n, 0.45, seed)
+def test_solver_oracle_agreement_random(n, seed, tree):
+    G = random_tree(n, seed) if tree else random_connected(n, 0.45, seed)
     for variant in VARIANTS:
-        assert solve(G, variant).value == brute_force(G, variant).value
+        cert, oracle = solve(G, variant), brute_force(G, variant)
+        assert (cert.value, tuple(cert.witness)) == (
+            oracle.value,
+            tuple(oracle.witness),
+        )
