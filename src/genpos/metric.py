@@ -99,20 +99,27 @@ def interval_masks(D: DistMatrix):
 
     interval_masks(D)[u][v] holds w iff w != u, w != v and w lies on a
     shortest u,v-path.  Symmetric; the diagonal rows are zero.
+
+    Built from the BFS DAG of each source u: the interior of I(u,v) is
+    the union of w and the interior of I(u,w) over the neighbours w of v
+    one step closer to u.  Visiting the vertices v > u by distance from u,
+    with the entries for v < u already filled in by symmetry, makes that
+    O(n*m) bitmask ORs in all, after one O(n^2) pass for the neighbours.
     """
     n, d = D.n, D.d
+    nbrs = [[w for w, dw in enumerate(row) if dw == 1] for row in d]
     out = [[0] * n for _ in range(n)]
     for u in range(n):
         du = d[u]
-        for v in range(u + 1, n):
-            dv = d[v]
-            duv = du[v]
-            mask = 0
-            for w in range(n):
-                if w != u and w != v and du[w] + dv[w] == duv:
-                    mask |= 1 << w
-            out[u][v] = mask
-            out[v][u] = mask
+        row = out[u]
+        for v in sorted(range(u + 1, n), key=du.__getitem__):
+            up = du[v] - 1
+            if up:  # adjacent pairs have an empty interior
+                r = 0
+                for w in nbrs[v]:
+                    if du[w] == up:
+                        r |= row[w] | 1 << w
+                row[v] = out[v][u] = r
     return out
 
 

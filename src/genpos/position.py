@@ -19,6 +19,8 @@ means no nonempty dual set exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -98,7 +100,7 @@ def is_variant_set(G: Graph, D: DistMatrix, X: VertexSet, variant: str) -> bool:
     return True
 
 
-def _branch_and_bound(bet, order, accept, floor: int, ceiling: int):
+def _branch_and_bound(bet, order, dual: bool, floor: int, ceiling: int):
     """Include-first branch and bound over the downward-closed gp sets.
 
     Feasibility is a 3-uniform conflict system: the triples (u, x, v)
@@ -108,27 +110,59 @@ def _branch_and_bound(bet, order, accept, floor: int, ceiling: int):
     and the bound is the number of vertices later in ``order`` that are
     not forbidden.
 
-    A feasible set counts only if ``accept(xmask)`` holds (always, when
-    accept is None); dual is this search with a complement-convexity
-    accept.  Returns ``(size, members)`` for the first counted set in
-    include-first order that is larger than ``floor``, improved on until
-    the search is exhausted or a set reaches ``ceiling``.  ``ceiling``
-    must bound every counted set: no set is grown past it.  When nothing
-    beats ``floor`` the result is ``(floor, ())``.
+    With ``dual`` a feasible set counts only if its complement is convex,
+    since the dual sets are exactly the gp sets with a convex complement.
+    Every vertex the search excludes, forbidden or passed over after its
+    include branch, lies in the complement of every set below that point,
+    and so does the convex hull of those vertices.  The search keeps that
+    hull, grown by betweenness closure as vertices are excluded, and
+    forbids it, so the bound counts it too.  A hull that meets the chosen
+    set ends the loop: every later sibling excludes the same vertices.
+
+    Returns ``(size, members)`` for the first counted set in include-first
+    order that is larger than ``floor``, improved on until the search is
+    exhausted or a set reaches ``ceiling``.  ``ceiling`` must bound every
+    counted set: no set is grown past it.  When nothing beats ``floor``
+    the result is ``(floor, ())``.
 
     With ``order`` ascending, include-first search meets sets of equal
-    size in lexicographic order, and the bound only cuts subtrees that
-    cannot beat the best so far.  So ``floor=value-1, ceiling=value``
-    returns the lexicographically least optimum.
+    size in lexicographic order.  The bound only cuts subtrees that cannot
+    beat the best so far, and the hull cut only subtrees that hold no dual
+    set.  So ``floor=value-1, ceiling=value`` returns the lexicographically
+    least optimum.
     """
     n = len(order)
+    full = (1 << n) - 1
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] | (1 << order[i])
     best = floor
     best_members = ()
 
-    def rec(i: int, xmask: int, xs: list, forb: int, size: int):
+    def convex_complement(xmask: int) -> bool:
+        comp = list(bits(full & ~xmask))
+        for i, u in enumerate(comp):
+            bu = bet[u]
+            for v in comp[i + 1 :]:
+                if bu[v] & xmask:
+                    return False
+        return True
+
+    def grow(hull: int, v: int) -> int:
+        # convex hull of hull + v: hull is convex, so only pairs with a
+        # vertex new to it can add more
+        members = list(bits(hull))
+        hull |= 1 << v
+        fresh = [v]
+        for w in fresh:
+            add = reduce(or_, map(bet[w].__getitem__, members), 0) & ~hull
+            if add:
+                hull |= add
+                fresh += bits(add)
+            members.append(w)
+        return hull
+
+    def rec(i: int, xmask: int, xs: list, forb: int, hull: int, size: int):
         nonlocal best, best_members
         while i < n:
             if best == ceiling or size + (suffix[i] & ~forb).bit_count() <= best:
@@ -136,29 +170,33 @@ def _branch_and_bound(bet, order, accept, floor: int, ceiling: int):
             v = order[i]
             i += 1
             bit = 1 << v
-            if forb & bit:
-                continue
-            newmask = xmask | bit
-            bv = bet[v]
-            grown = forb
-            ok = True
-            for u in xs:
-                b = bv[u]
-                if b & newmask:
-                    ok = False
-                    break
-                grown |= b
-            if ok:
-                xs.append(v)
-                if size + 1 > best and (accept is None or accept(newmask)):
-                    best = size + 1
-                    best_members = tuple(xs)
-                if size + 1 < ceiling:
-                    rec(i, newmask, xs, grown, size + 1)
-                xs.pop()
-            # falling through the loop excludes v
+            if not forb & bit:
+                newmask = xmask | bit
+                bv = bet[v]
+                grown = forb
+                ok = True
+                for u in xs:
+                    b = bv[u]
+                    if b & newmask:
+                        ok = False
+                        break
+                    grown |= b
+                if ok:
+                    xs.append(v)
+                    if size + 1 > best and (not dual or convex_complement(newmask)):
+                        best = size + 1
+                        best_members = tuple(xs)
+                    if size + 1 < ceiling:
+                        rec(i, newmask, xs, grown, hull, size + 1)
+                    xs.pop()
+            # from here on v is excluded
+            if dual and not hull & bit:
+                hull = grow(hull, v) if hull else bit
+                if hull & xmask:
+                    return
+                forb |= hull
 
-    rec(0, 0, [], 0, 0)
+    rec(0, 0, [], 0, 0, 0)
     return best, best_members
 
 
@@ -167,12 +205,14 @@ def solve(G: Graph, variant: str) -> Certificate:
 
     total uses the simplicial set directly and outer takes a maximum
     clique of the strong resolving graph.  gp and dual run the same
-    branch and bound over the betweenness conflicts; dual only adds a
-    complement-convexity accept, since the dual sets are exactly the gp
-    sets with a convex complement.  That search runs twice: once in
-    descending eccentricity order for the value, then in ascending
-    vertex order, stopping at the first set of that value, for the
-    witness.  Witnesses are lexicographically least among the optima.
+    branch and bound over the betweenness conflicts.  For dual it counts
+    only sets with a convex complement, and it forbids the convex hull of
+    the vertices it has excluded, which no dual set below that point can
+    meet.  That search runs twice: once in descending eccentricity order
+    for the value, then in ascending vertex order, stopping at the first
+    set of that value, for the witness.  Both cuts remove only subtrees
+    without a better set, so witnesses are lexicographically least among
+    the optima.
     """
     _check_variant(variant)
     if G.n == 0:
@@ -188,24 +228,12 @@ def solve(G: Graph, variant: str) -> Certificate:
     n = G.n
     D = all_pairs_distances(G)
     bet = interval_masks(D)
-    accept = None
-    if variant == "dual":
-        full = (1 << n) - 1
-
-        def accept(xmask: int) -> bool:
-            comp = list(bits(full & ~xmask))
-            for i, u in enumerate(comp):
-                bu = bet[u]
-                for v in comp[i + 1 :]:
-                    if bu[v] & xmask:
-                        return False
-            return True
-
+    dual = variant == "dual"
     ecc = [max(row) for row in D.d]
     order = sorted(range(n), key=lambda v: (-ecc[v], v))
-    value, witness = _branch_and_bound(bet, order, accept, 0, n)
+    value, witness = _branch_and_bound(bet, order, dual, 0, n)
     if value:
-        _, witness = _branch_and_bound(bet, range(n), accept, value - 1, value)
+        _, witness = _branch_and_bound(bet, range(n), dual, value - 1, value)
     return Certificate(variant, value, VertexSet(n, witness), "branch_and_bound")
 
 

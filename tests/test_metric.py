@@ -99,17 +99,32 @@ def test_lies_between_on_path():
         lies_between(D, 3, 1, 3)
 
 
-def test_interval_masks_match_strict_betweenness():
-    G = _family("cycle:6")
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "cycle:6",
+        "path:9",
+        "star:7",
+        "theta:2,3,3",
+        "petersen",
+        "cartesian:complete:3|complete:4",
+        "cartesian:cycle:5|path:3",
+    ]
+    + [f"random_tree:25,{s}" for s in (1, 2, 3)]
+    + [f"random_connected:25,0.2,{s}" for s in (1, 2, 3)],
+)
+def test_interval_masks_match_strict_betweenness(spec, spec_graph):
+    G = spec_graph(spec)
+    n = G.n
     D = all_pairs_distances(G)
     bet = interval_masks(D)
-    for u in range(6):
+    for u in range(n):
         assert bet[u][u] == 0
-        for v in range(6):
+        for v in range(n):
             if u == v:
                 continue
             assert bet[u][v] == bet[v][u]
-            for w in range(6):
+            for w in range(n):
                 expect = w not in (u, v) and lies_between(D, u, w, v)
                 assert bool(bet[u][v] >> w & 1) == expect
 

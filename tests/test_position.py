@@ -262,6 +262,43 @@ def test_popcount_table():
     assert t[0] == 0 and t[1023] == 10 and t[0b1010010] == 3
 
 
+# Cartesian products of small factors (each spec's parameter is its
+# order) that fit under the brute_force cap of 18 vertices
+_FACTORS = (
+    "complete:2",
+    "complete:3",
+    "complete:4",
+    "path:3",
+    "path:4",
+    "cycle:4",
+    "cycle:5",
+)
+_SMALL_PRODUCTS = [
+    f"cartesian:{a}|{b}"
+    for a, b in itertools.combinations_with_replacement(_FACTORS, 2)
+    if int(a.split(":")[1]) * int(b.split(":")[1]) <= 18
+]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [f"cycle:{n}" for n in range(3, 13)]
+    + ["theta:2,3,3", "theta:3,4,5", "gm_join:5", "gm_join:8"]
+    + ["chain_cycles:2,4", "chain_cycles:2,6"]
+    + _SMALL_PRODUCTS,
+)
+def test_solver_oracle_agreement_structured(spec, spec_graph):
+    # many of these have a nonempty dual set, where the hull cut fires;
+    # random dense graphs rarely have one
+    G = spec_graph(spec)
+    for variant in ("gp", "dual"):
+        cert, oracle = solve(G, variant), brute_force(G, variant)
+        assert (cert.value, tuple(cert.witness)) == (
+            oracle.value,
+            tuple(oracle.witness),
+        )
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(min_value=3, max_value=14),
