@@ -7,7 +7,8 @@ optional '#' comment lines, one "n m" header line, then m lines "u v"
 with 0 <= u < v < n; writers emit edges sorted lexicographically.
 
 Exit codes: 0 success, 1 law failure, 2 parse or input error,
-3 disconnected input where connectivity is required, 4 size cap hit.
+3 disconnected input where connectivity is required, 4 size cap hit or
+input too deep for the recursive searches.
 """
 
 from __future__ import annotations
@@ -270,6 +271,9 @@ def main(argv=None) -> int:
         return _EXIT_DISCONNECTED
     except SizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_SIZE
+    except RecursionError:
+        print("error: input too deep for the recursive searches", file=sys.stderr)
         return _EXIT_SIZE
     except GenposError as exc:
         print(f"error: {exc}", file=sys.stderr)

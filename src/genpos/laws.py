@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from .errors import DisconnectedError, SizeError, SpecError
-from .families import FamilySpec, generate, product, random_tree
-from .graphs import Graph, VertexSet, bits, clique_number, is_connected
+from .families import FamilySpec, generate, product, random_connected, random_tree
+from .graphs import Graph, VertexSet, bits, is_connected
 from .metric import (
     DistMatrix,
     all_pairs_distances,
@@ -29,6 +30,7 @@ from .metric import (
 )
 from .position import (
     VARIANTS,
+    _pair_table,
     is_variant_set,
     popcount_table,
     solve,
@@ -68,8 +70,23 @@ def _payload(G: Graph, **sets) -> dict:
     return data
 
 
-def _set_bits(mask: int) -> list:
-    return list(bits(mask))
+def _report(law, instance, ok, expected, actual, G: Graph, **sets) -> LawReport:
+    """A report whose counterexample, on failure, replays G with the sets."""
+    return LawReport(
+        law, instance, ok, expected, actual, None if ok else _payload(G, **sets)
+    )
+
+
+def _same_family(law, instance, G, expected, lhs, rhs, where=True, **sets):
+    """Compare two boolean tables over all subset masks of G, restricted
+    to ``where``; on failure the payload names the first differing mask."""
+    differ = np.flatnonzero((lhs != rhs) & where)
+    ok = differ.size == 0
+    actual = "families equal" if ok else "families differ"
+    bad = 0 if ok else int(differ[0])
+    return _report(
+        law, instance, ok, expected, actual, G, offending_set=bits(bad), **sets
+    )
 
 
 def _is_complete(G: Graph) -> bool:
@@ -96,78 +113,34 @@ def check_structural(G: Graph, name: str | None = None) -> list[LawReport]:
     name = name or f"graph(n={G.n},m={G.m})"
     full = (1 << n) - 1
     masks = np.arange(1 << n, dtype=np.int64)
-    pops = popcount_table(n)
     fam = {v: variant_feasibility(D, v) for v in VARIANTS}
-    reports = []
 
     simp = simplicial_set(G)
-    subset_of_simp = (masks & ~simp.mask) == 0
-    ok = bool(np.array_equal(fam["total"], subset_of_simp))
-    ce = None
-    if not ok:
-        bad = int(masks[fam["total"] != subset_of_simp][0])
-        ce = _payload(G, offending_set=_set_bits(bad), simplicial=list(simp))
-    reports.append(
-        LawReport(
-            "total-sets-simplicial-subsets",
-            name,
-            ok,
-            "total sets == subsets of the simplicial set",
-            "families equal" if ok else "families differ",
-            ce,
-        )
-    )
-
     R = strong_resolving_graph(G)
     mmd_clique = np.ones(1 << n, dtype=bool)
     for u in range(n):
+        in_u = (masks & (1 << u)) != 0
         for v in range(u + 1, n):
             if not R.has_edge(u, v):
-                both = ((masks >> u) & 1).astype(bool) & ((masks >> v) & 1).astype(bool)
-                mmd_clique &= ~both
-    multi = pops >= 2
-    ok = bool(np.array_equal(fam["outer"][multi], mmd_clique[multi]))
-    ce = None
-    if not ok:
-        where = np.flatnonzero(multi & (fam["outer"] != mmd_clique))
-        ce = _payload(G, offending_set=_set_bits(int(masks[where[0]])))
-    reports.append(
-        LawReport(
-            "outer-sets-mmd-cliques",
-            name,
-            ok,
+                mmd_clique &= ~(in_u & ((masks & (1 << v)) != 0))
+    convex_complement = _pair_table(interval_masks(D), "neither in")
+    reports = [
+        _same_family(
+            "total-sets-simplicial-subsets", name, G,
+            "total sets == subsets of the simplicial set",
+            fam["total"], (masks & ~simp.mask) == 0, simplicial=simp,
+        ),
+        _same_family(
+            "outer-sets-mmd-cliques", name, G,
             "outer sets of size >= 2 == mutually-maximally-distant cliques",
-            "families equal" if ok else "families differ",
-            ce,
-        )
-    )
-
-    bet = interval_masks(D)
-    convex_complement = np.ones(1 << n, dtype=bool)
-    for u in range(n):
-        for v in range(u + 1, n):
-            b = bet[u][v]
-            if b == 0:
-                continue
-            out_u = ((masks >> u) & 1) == 0
-            out_v = ((masks >> v) & 1) == 0
-            convex_complement &= ~(out_u & out_v & ((masks & b) != 0))
-    rhs = fam["gp"] & convex_complement
-    ok = bool(np.array_equal(fam["dual"], rhs))
-    ce = None
-    if not ok:
-        bad = int(masks[fam["dual"] != rhs][0])
-        ce = _payload(G, offending_set=_set_bits(bad))
-    reports.append(
-        LawReport(
-            "dual-iff-gp-convex-complement",
-            name,
-            ok,
+            fam["outer"], mmd_clique, where=popcount_table(n) >= 2,
+        ),
+        _same_family(
+            "dual-iff-gp-convex-complement", name, G,
             "dual sets == gp sets with convex complement",
-            "families equal" if ok else "families differ",
-            ce,
-        )
-    )
+            fam["dual"], fam["gp"] & convex_complement,
+        ),
+    ]
 
     bad_edge = None
     for x, y in G.edges():
@@ -195,40 +168,32 @@ def check_structural(G: Graph, name: str | None = None) -> list[LawReport]:
         )
     )
 
-    bad_pair = None
-    for x in range(n):
-        for y in range(x + 1, n):
-            if G.has_edge(x, y):
-                continue
-            as_dual = is_variant_set(G, D, VertexSet(n, (x, y)), "dual")
-            both_simplicial = x in simp and y in simp
-            if as_dual != both_simplicial:
-                bad_pair = (x, y)
-                break
-        if bad_pair:
+    bad_pair = ()
+    for x, y in combinations(range(n), 2):
+        if G.has_edge(x, y):
+            continue
+        as_dual = is_variant_set(G, D, VertexSet(n, (x, y)), "dual")
+        if as_dual != (x in simp and y in simp):
+            bad_pair = (x, y)
             break
-    ok = bad_pair is None
+    ok = not bad_pair
     reports.append(
-        LawReport(
-            "nonadjacent-pair-simplicial",
-            name,
-            ok,
+        _report(
+            "nonadjacent-pair-simplicial", name, ok,
             "nonadjacent {x,y} dual iff both vertices simplicial",
             "all pairs agree" if ok else "disagreement found",
-            None if ok else _payload(G, pair=list(bad_pair)),
+            G, pair=bad_pair,
         )
     )
 
     dual_value = solve(G, "dual").value
     ok = dual_value != 1 or len(simp) == 1
     reports.append(
-        LawReport(
-            "dual-one-forces-single-simplicial",
-            name,
-            ok,
+        _report(
+            "dual-one-forces-single-simplicial", name, ok,
             "dual value 1 implies exactly one simplicial vertex",
             f"dual={dual_value}, simplicial={len(simp)}",
-            None if ok else _payload(G, simplicial=list(simp)),
+            G, simplicial=simp,
         )
     )
     return reports
@@ -283,13 +248,10 @@ def check_sufficient(G: Graph, name: str | None = None) -> list[LawReport]:
         ok = True
         actual = "not all edges inner, vacuous"
     reports.append(
-        LawReport(
-            "all-edges-p4-inner-dual-zero",
-            name,
-            ok,
+        _report(
+            "all-edges-p4-inner-dual-zero", name, ok,
             "every edge on an isometric P4 middle implies dual 0",
-            actual,
-            None if ok else _payload(G),
+            actual, G,
         )
     )
 
@@ -303,13 +265,10 @@ def check_sufficient(G: Graph, name: str | None = None) -> list[LawReport]:
         ok = True
         actual = f"girth={g} < 6, vacuous"
     reports.append(
-        LawReport(
-            "girth6-dual-zero-iff-mindeg2",
-            name,
-            ok,
+        _report(
+            "girth6-dual-zero-iff-mindeg2", name, ok,
             "girth >= 6: dual 0 iff minimum degree >= 2",
-            actual,
-            None if ok else _payload(G),
+            actual, G,
         )
     )
     return reports
@@ -359,26 +318,20 @@ def check_products(G: Graph, H: Graph, name: str | None = None) -> list[LawRepor
 
     total = solve(P, "total").value
     reports.append(
-        LawReport(
-            "cartesian-total-zero",
-            name,
-            total == 0,
+        _report(
+            "cartesian-total-zero", name, total == 0,
             "total invariant of a product is 0",
-            f"total={total}",
-            None if total == 0 else _payload(P),
+            f"total={total}", P,
         )
     )
 
     outer = solve(P, "outer").value
     expected_outer = min(solve(G, "outer").value, solve(H, "outer").value)
     reports.append(
-        LawReport(
-            "cartesian-outer-min",
-            name,
-            outer == expected_outer,
+        _report(
+            "cartesian-outer-min", name, outer == expected_outer,
             f"outer == min over factors == {expected_outer}",
-            f"outer={outer}",
-            None if outer == expected_outer else _payload(P),
+            f"outer={outer}", P,
         )
     )
 
@@ -395,13 +348,11 @@ def check_products(G: Graph, H: Graph, name: str | None = None) -> list[LawRepor
     else:
         expected_dual = 0
     reports.append(
-        LawReport(
-            "cartesian-dual-characterization",
-            name,
-            dual == expected_dual,
-            f"dual positive iff complete factor with simplicial partner; value {expected_dual}",
-            f"dual={dual}",
-            None if dual == expected_dual else _payload(P),
+        _report(
+            "cartesian-dual-characterization", name, dual == expected_dual,
+            "dual positive iff complete factor with simplicial partner; "
+            f"value {expected_dual}",
+            f"dual={dual}", P,
         )
     )
 
@@ -464,13 +415,11 @@ def check_products(G: Graph, H: Graph, name: str | None = None) -> list[LawRepor
             bad = mask
             break
     reports.append(
-        LawReport(
-            "cartesian-convex-boxes",
-            name,
-            bad is None,
+        _report(
+            "cartesian-convex-boxes", name, bad is None,
             "convex in product iff box of convex factor sets (sampled)",
-            f"{len(samples)} subsets agree" if bad is None else "disagreement",
-            None if bad is None else _payload(P, offending_set=_set_bits(bad)),
+            f"{len(samples)} subsets agree" if bad is None else "disagreement", P,
+            offending_set=bits(bad or 0),
         )
     )
     return reports
@@ -522,163 +471,99 @@ def chain_cycles_dual_value(length: int) -> int:
     return 1
 
 
-def check_families(tree_count: int = 50, tree_seed: int = 0) -> list[LawReport]:
-    """Closed-form expectations on the named families.
+def _family(spec: str) -> Graph:
+    return generate(FamilySpec.parse(spec))[0]
 
-    Paths, cycles, theta graphs, joins of a path with two isolated
-    vertices, chains of cycles, block graphs (trees and complete graphs),
-    and outer values of strong products of complete bipartite graphs.
+
+def _measure(G: Graph, key: str):
+    """One observed quantity of G: a variant's value, ``diameter``,
+    ``inner_edge`` or ``maximum_sets``."""
+    if key in VARIANTS:
+        return solve(G, key).value
+    D = all_pairs_distances(G)
+    if key == "diameter":
+        return D.diameter
+    if key == "inner_edge":
+        return any(is_p4_inner_isometric(G, D, x, y) for x, y in G.edges())
+    # maximum_sets: per variant, the maximum size and the sets of that size
+    pops = popcount_table(G.n)
+    found = {}
+    for variant in VARIANTS:
+        feas = variant_feasibility(D, variant)
+        best = int(pops[feas].max())
+        tops = np.flatnonzero(feas & (pops == best))
+        found[variant] = (best, {frozenset(bits(int(mask))) for mask in tops})
+    return found
+
+
+def _shown(actual: dict, ok: bool) -> str:
+    """The report's actual text: all four values print as one dict."""
+    if "maximum_sets" in actual:
+        return "families as expected" if ok else str(actual["maximum_sets"])
+    if tuple(actual) == VARIANTS:
+        return str(actual)
+    return ", ".join(f"{key}={value}" for key, value in actual.items())
+
+
+def _family_rows(tree_count: int, tree_seed: int):
+    """Yield (law, instance, graph, expected text, expected) per family row.
+
+    ``expected`` maps each key that ``_measure`` observes to its expected
+    value; a range accepts any of its members.  Rows come one at a time,
+    so only one graph is alive at once.
     """
-    reports = []
-
     for n in range(2, 13):
-        P, _ = generate(FamilySpec("path", (n,)))
-        values = {v: solve(P, v).value for v in VARIANTS}
-        ok = all(value == 2 for value in values.values())
-        reports.append(
-            LawReport(
-                "path-invariants-two",
-                f"path:{n}",
-                ok,
-                "gp = total = outer = dual = 2",
-                str(values),
-                None if ok else _payload(P),
-            )
+        P = _family(f"path:{n}")
+        text = "gp = total = outer = dual = 2"
+        yield "path-invariants-two", f"path:{n}", P, text, dict.fromkeys(VARIANTS, 2)
+        text = (
+            "maximum sets: all pairs / both ends / both ends / two ends or an end edge"
         )
-        D = all_pairs_distances(P)
-        pops = popcount_table(n)
-        expected_families = {
-            "gp": {frozenset((u, v)) for u in range(n) for v in range(u + 1, n)},
-            "total": {frozenset((0, n - 1))},
-            "outer": {frozenset((0, n - 1))},
-            "dual": {
-                frozenset((0, 1)),
-                frozenset((0, n - 1)),
-                frozenset((n - 2, n - 1)),
-            },
+        ends = {frozenset((0, n - 1))}
+        sets = {
+            "gp": (2, {frozenset(pair) for pair in combinations(range(n), 2)}),
+            "total": (2, ends),
+            "outer": (2, ends),
+            "dual": (2, ends | {frozenset((0, 1)), frozenset((n - 2, n - 1))}),
         }
-        actual_families = {}
-        for variant in VARIANTS:
-            feas = variant_feasibility(D, variant)
-            best = int(pops[feas].max())
-            found = {
-                frozenset(bits(int(mask)))
-                for mask in np.flatnonzero(feas & (pops == best))
-            }
-            actual_families[variant] = (best, found)
-        ok = all(
-            actual_families[v] == (2, expected_families[v]) for v in VARIANTS
-        )
-        reports.append(
-            LawReport(
-                "path-variant-set-families",
-                f"path:{n}",
-                ok,
-                "maximum sets: all pairs / both ends / both ends / two ends or an end edge",
-                "families as expected" if ok else str(actual_families),
-                None if ok else _payload(P),
-            )
-        )
-
+        yield "path-variant-set-families", f"path:{n}", P, text, dict(maximum_sets=sets)
     for n in range(4, 13):
-        C, _ = generate(FamilySpec("cycle", (n,)))
-        value = solve(C, "dual").value
-        expected = 2 if n in (4, 5) else 0
-        reports.append(
-            LawReport(
-                "cycle-dual-values",
-                f"cycle:{n}",
-                value == expected,
-                f"dual = {expected}",
-                f"dual={value}",
-                None if value == expected else _payload(C),
-            )
-        )
-
+        value = 2 if n in (4, 5) else 0
+        G = _family(f"cycle:{n}")
+        yield "cycle-dual-values", f"cycle:{n}", G, f"dual = {value}", dict(dual=value)
     for lengths in _theta_length_vectors(14):
-        T, _ = generate(FamilySpec("theta", lengths))
-        value = solve(T, "dual").value
-        expected_zero = theta_dual_vanishes(lengths)
-        ok = (value == 0) == expected_zero
-        reports.append(
-            LawReport(
-                "theta-dual-zero-cases",
-                f"theta:{','.join(map(str, lengths))}",
-                ok,
-                "dual vanishes exactly in the four listed cases"
-                + (" (expected 0)" if expected_zero else " (expected > 0)"),
-                f"dual={value}",
-                None if ok else _payload(T),
-            )
+        spec = str(FamilySpec("theta", lengths))
+        G = _family(spec)
+        zero = theta_dual_vanishes(lengths)
+        text = "dual vanishes exactly in the four listed cases" + (
+            " (expected 0)" if zero else " (expected > 0)"
         )
-
+        dual = 0 if zero else range(1, G.n + 1)
+        yield "theta-dual-zero-cases", spec, G, text, dict(dual=dual)
     for m in range(5, 10):
-        Gm, _ = generate(FamilySpec("gm_join", (m,)))
-        D = all_pairs_distances(Gm)
-        value = solve(Gm, "dual").value
-        diam_two = D.diameter == 2
-        no_inner = not any(
-            is_p4_inner_isometric(Gm, D, x, y) for x, y in Gm.edges()
-        )
-        ok = value == 0 and diam_two and no_inner
-        reports.append(
-            LawReport(
-                "join-two-isolated-dual-zero",
-                f"gm_join:{m}",
-                ok,
-                "diameter 2, no edge on an isometric P4 middle, dual = 0",
-                f"dual={value}, diameter={D.diameter}, inner_edge={not no_inner}",
-                None if ok else _payload(Gm),
-            )
-        )
-
+        G = _family(f"gm_join:{m}")
+        text = "diameter 2, no edge on an isometric P4 middle, dual = 0"
+        expected = dict(dual=0, diameter=2, inner_edge=False)
+        yield "join-two-isolated-dual-zero", f"gm_join:{m}", G, text, expected
     for k in (1, 2, 3):
         for length in (4, 5, 6, 7):
-            CC, _ = generate(FamilySpec("chain_cycles", (k, length)))
-            value = solve(CC, "dual").value
-            expected = chain_cycles_dual_value(length)
-            reports.append(
-                LawReport(
-                    "cycle-chain-dual-values",
-                    f"chain_cycles:{k},{length}",
-                    value == expected,
-                    f"dual = {expected}",
-                    f"dual={value}",
-                    None if value == expected else _payload(CC),
-                )
-            )
-
+            spec = f"chain_cycles:{k},{length}"
+            value = chain_cycles_dual_value(length)
+            text = f"dual = {value}"
+            yield "cycle-chain-dual-values", spec, _family(spec), text, dict(dual=value)
     for i in range(tree_count):
         n = 2 + (i % 11)
-        T = random_tree(n, tree_seed + i)
-        leaves = sum(1 for v in range(n) if T.degree(v) == 1)
-        values = {v: solve(T, v).value for v in VARIANTS}
-        ok = all(value == leaves for value in values.values())
-        reports.append(
-            LawReport(
-                "block-graph-four-equal",
-                f"tree(seed={tree_seed + i},n={n})",
-                ok,
-                f"all four equal leaf count {leaves}",
-                str(values),
-                None if ok else _payload(T),
-            )
-        )
+        G = random_tree(n, tree_seed + i)
+        leaves = sum(1 for v in range(n) if G.degree(v) == 1)
+        instance = f"tree(seed={tree_seed + i},n={n})"
+        text = f"all four equal leaf count {leaves}"
+        expected = dict.fromkeys(VARIANTS, leaves)
+        yield "block-graph-four-equal", instance, G, text, expected
     for n in range(2, 9):
-        K, _ = generate(FamilySpec("complete", (n,)))
-        values = {v: solve(K, v).value for v in VARIANTS}
-        ok = all(value == n for value in values.values())
-        reports.append(
-            LawReport(
-                "block-graph-four-equal",
-                f"complete:{n}",
-                ok,
-                f"all four equal {n}",
-                str(values),
-                None if ok else _payload(K),
-            )
-        )
-
+        G = _family(f"complete:{n}")
+        text = f"all four equal {n}"
+        expected = dict.fromkeys(VARIANTS, n)
+        yield "block-graph-four-equal", f"complete:{n}", G, text, expected
     # sides r >= t >= 1 and order >= 3; a K2 factor makes the product
     # complete-ish and the clique formula below does not apply
     for r1, t1, r2, t2 in (
@@ -690,35 +575,39 @@ def check_families(tree_count: int = 50, tree_seed: int = 0) -> list[LawReport]:
         (4, 1, 2, 1),
         (4, 2, 2, 2),
     ):
-        A, _ = generate(FamilySpec("complete_bipartite", (r1, t1)))
-        B, _ = generate(FamilySpec("complete_bipartite", (r2, t2)))
+        A = _family(f"complete_bipartite:{r1},{t1}")
+        B = _family(f"complete_bipartite:{r2},{t2}")
         S = product(A, B, "strong")
-        value = solve(S, "outer").value
-        expected = r1 * r2
-        ok = value == expected
-        extras = ""
-        if S.n <= 15:
-            gp_value = solve(S, "gp").value
-            ok = ok and gp_value == expected
-            extras = f", gp={gp_value}"
-        reports.append(
-            LawReport(
-                "bipartite-strong-product-outer",
-                f"K({r1},{t1}) strong K({r2},{t2})",
-                ok,
-                f"outer = {expected}",
-                f"outer={value}{extras}",
-                None if ok else _payload(S),
-            )
-        )
+        # gp has the same value; it is checked where its search stays cheap
+        checked = ("outer", "gp") if S.n <= 15 else ("outer",)
+        instance = f"K({r1},{t1}) strong K({r2},{t2})"
+        text = f"outer = {r1 * r2}"
+        expected = dict.fromkeys(checked, r1 * r2)
+        yield "bipartite-strong-product-outer", instance, S, text, expected
 
+
+def check_families(tree_count: int = 50, tree_seed: int = 0) -> list[LawReport]:
+    """Closed-form expectations on the named families.
+
+    Paths, cycles, theta graphs, joins of a path with two isolated
+    vertices, chains of cycles, block graphs (trees and complete graphs),
+    and outer values of strong products of complete bipartite graphs.
+    """
+    reports = []
+    for law, instance, G, text, expected in _family_rows(tree_count, tree_seed):
+        actual = {key: _measure(G, key) for key in expected}
+        ok = all(
+            actual[key] in want if isinstance(want, range) else actual[key] == want
+            for key, want in expected.items()
+        )
+        reports.append(_report(law, instance, ok, text, _shown(actual, ok), G))
     reports.append(check_dual_not_hereditary())
     return reports
 
 
 def check_dual_not_hereditary() -> LawReport:
     """The five-cycle exhibit: a dual pair whose singletons are not dual."""
-    C5, _ = generate(FamilySpec("cycle", (5,)))
+    C5 = _family("cycle:5")
     cert = solve(C5, "dual")
     D5 = all_pairs_distances(C5)
     pair = tuple(cert.witness)
@@ -731,35 +620,38 @@ def check_dual_not_hereditary() -> LawReport:
         and C5.has_edge(*pair)
         and singles_not_dual
     )
-    return LawReport(
-        "dual-not-hereditary-on-c5",
-        "cycle:5",
-        ok,
+    return _report(
+        "dual-not-hereditary-on-c5", "cycle:5", ok,
         "an adjacent dual pair whose singletons are not dual",
-        f"dual={cert.value}, witness={sorted(pair)}, singleton dual: {not singles_not_dual}",
-        None if ok else _payload(C5, dual_pair=sorted(pair)),
+        f"dual={cert.value}, witness={sorted(pair)}, "
+        f"singleton dual: {not singles_not_dual}", C5,
+        dual_pair=pair,
     )
 
 
 # -------------------------------------------------------------------- suites
 
 
-def _named_structural_instances():
-    specs = [
-        ("path", (5,)),
-        ("cycle", (4,)),
-        ("cycle", (5,)),
-        ("cycle", (6,)),
-        ("complete", (4,)),
-        ("complete_bipartite", (2, 3)),
-        ("star", (4,)),
-        ("gm_join", (5,)),
-        ("theta", (2, 2, 3)),
-        ("chain_cycles", (2, 4)),
-    ]
-    for family, params in specs:
-        G, _ = generate(FamilySpec(family, params))
-        yield str(FamilySpec(family, params)), G
+_STRUCTURAL_SPECS = (
+    "path:5", "cycle:4", "cycle:5", "cycle:6", "complete:4", "complete_bipartite:2,3",
+    "star:4", "gm_join:5", "theta:2,2,3", "chain_cycles:2,4",
+)
+_SUFFICIENT_SPECS = (
+    [f"cycle:{n}" for n in range(6, 13)]
+    + [f"gm_join:{m}" for m in range(5, 10)]
+    + ["chain_cycles:1,6", "chain_cycles:2,6", "chain_cycles:1,7", "chain_cycles:2,7"]
+    + ["theta:3,3,3", "theta:2,4,4", "theta:3,4,5"]
+)
+_PRODUCT_PAIRS = [
+    (f"complete:{a}", f"complete:{b}") for a in range(2, 6) for b in range(a, 6)
+] + [
+    ("complete:3", "path:3"),
+    ("path:3", "path:3"),
+    ("complete:3", "complete:6"),
+    ("complete:2", "path:4"),
+    ("complete:3", "cycle:4"),
+    ("path:3", "cycle:5"),
+]
 
 
 def run_suite(suite: str, seed: int = 0) -> list[LawReport]:
@@ -769,58 +661,28 @@ def run_suite(suite: str, seed: int = 0) -> list[LawReport]:
     offsets the random instances of the structural and sufficient grids;
     family grids are fixed.
     """
-    from .families import random_connected
-
+    reports = []
     if suite == "all":
-        reports = []
         for name in ("structural", "sufficient", "products", "families"):
             reports += run_suite(name, seed)
-        return reports
-    if suite == "structural":
-        reports = []
-        for name, G in _named_structural_instances():
-            reports += check_structural(G, name)
+    elif suite == "structural":
+        for spec in _STRUCTURAL_SPECS:
+            reports += check_structural(_family(spec), spec)
         for i in range(60):
             G = random_connected(8, 0.35, seed * 1000 + i)
             reports += check_structural(G, f"random(n=8,p=0.35,seed={seed * 1000 + i})")
-        return reports
-    if suite == "sufficient":
-        reports = []
-        for n in range(6, 13):
-            C, _ = generate(FamilySpec("cycle", (n,)))
-            reports += check_sufficient(C, f"cycle:{n}")
-        for m in range(5, 10):
-            Gm, _ = generate(FamilySpec("gm_join", (m,)))
-            reports += check_sufficient(Gm, f"gm_join:{m}")
-        for k, length in ((1, 6), (2, 6), (1, 7), (2, 7)):
-            CC, _ = generate(FamilySpec("chain_cycles", (k, length)))
-            reports += check_sufficient(CC, f"chain_cycles:{k},{length}")
-        for lengths in ((3, 3, 3), (2, 4, 4), (3, 4, 5)):
-            T, _ = generate(FamilySpec("theta", lengths))
-            reports += check_sufficient(T, f"theta:{','.join(map(str, lengths))}")
+    elif suite == "sufficient":
+        for spec in _SUFFICIENT_SPECS:
+            reports += check_sufficient(_family(spec), spec)
         for i in range(10):
             T = random_tree(3 + (i % 9), seed * 500 + i)
             reports += check_sufficient(T, f"tree(seed={seed * 500 + i})")
-        return reports
-    if suite == "products":
-        reports = []
-        pairs = []
-        for a in range(2, 6):
-            for b in range(a, 6):
-                pairs.append(((f"complete:{a}"), (f"complete:{b}")))
-        pairs += [
-            ("complete:3", "path:3"),
-            ("path:3", "path:3"),
-            ("complete:3", "complete:6"),
-            ("complete:2", "path:4"),
-            ("complete:3", "cycle:4"),
-            ("path:3", "cycle:5"),
-        ]
-        for left, right in pairs:
-            G, _ = generate(FamilySpec.parse(left))
-            H, _ = generate(FamilySpec.parse(right))
+    elif suite == "products":
+        for left, right in _PRODUCT_PAIRS:
+            G, H = _family(left), _family(right)
             reports += check_products(G, H, f"{left} x {right}")
-        return reports
-    if suite == "families":
-        return check_families()
-    raise SpecError(f"unknown suite {suite!r}")
+    elif suite == "families":
+        reports = check_families()
+    else:
+        raise SpecError(f"unknown suite {suite!r}")
+    return reports

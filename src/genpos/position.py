@@ -237,6 +237,46 @@ def solve(G: Graph, variant: str) -> Certificate:
     return Certificate(variant, value, VertexSet(n, witness), "branch_and_bound")
 
 
+# Which pairs u, v of the graph a subset X must keep free of its own
+# members, by whether u and v lie in X.  "any pair" needs no membership.
+_PAIR_RULES = {
+    "both in": np.logical_and,
+    "any pair": None,
+    "either in": np.logical_or,
+    "same side": np.equal,
+    "neither in": lambda in_u, in_v: ~(in_u | in_v),
+}
+_VARIANT_RULES = dict(zip(VARIANTS, ("both in", "any pair", "either in", "same side")))
+
+
+def _pair_table(bet, rule: str) -> np.ndarray:
+    """Boolean table over all 2**n subsets X of the vertices of ``bet``
+    (an interval_masks table): entry X holds iff no pair u, v selected by
+    ``rule`` has a member of X strictly between u and v.
+
+    The variants are the rules "both in" (gp), "any pair" (total),
+    "either in" (outer) and "same side" (dual); "neither in" holds
+    exactly for the subsets with a convex complement.
+    """
+    n = len(bet)
+    masks = np.arange(1 << n, dtype=np.int64)
+    ok = np.ones(1 << n, dtype=bool)
+    combine = _PAIR_RULES[rule]
+    for u in range(n):
+        row = bet[u]
+        if combine is not None:
+            in_u = (masks & (1 << u)) != 0
+        for v in range(u + 1, n):
+            b = row[v]
+            if b == 0:
+                continue
+            relevant = (masks & b) != 0
+            if combine is not None:
+                relevant &= combine(in_u, (masks & (1 << v)) != 0)
+            ok &= ~relevant
+    return ok
+
+
 def variant_feasibility(D: DistMatrix, variant: str) -> np.ndarray:
     """Boolean table over all 2**n subsets: table[mask] iff the subset
     with that bitmask satisfies the variant.
@@ -245,33 +285,9 @@ def variant_feasibility(D: DistMatrix, variant: str) -> np.ndarray:
     characterizations involved; this is the engine behind brute_force.
     """
     _check_variant(variant)
-    n = D.n
-    if n > _FEASIBILITY_CAP:
+    if D.n > _FEASIBILITY_CAP:
         raise SizeError(f"feasibility table limited to n <= {_FEASIBILITY_CAP}")
-    size = 1 << n
-    masks = np.arange(size, dtype=np.int64)
-    ok = np.ones(size, dtype=bool)
-    bet = interval_masks(D)
-    for u in range(n):
-        row = bet[u]
-        for v in range(u + 1, n):
-            b = row[v]
-            if b == 0:
-                continue
-            blocked = (masks & b) != 0
-            if variant == "total":
-                relevant = blocked
-            else:
-                in_u = (masks >> u & 1).astype(bool)
-                in_v = (masks >> v & 1).astype(bool)
-                if variant == "gp":
-                    relevant = in_u & in_v & blocked
-                elif variant == "outer":
-                    relevant = (in_u | in_v) & blocked
-                else:
-                    relevant = (in_u == in_v) & blocked
-            ok &= ~relevant
-    return ok
+    return _pair_table(interval_masks(D), _VARIANT_RULES[variant])
 
 
 def popcount_table(n: int) -> np.ndarray:

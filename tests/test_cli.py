@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -156,6 +157,23 @@ def test_oracle_size_cap_exits_4(tmp_path, capsys):
     assert code == 4 and "capped" in err
 
 
+def test_compute_too_deep_exits_4(tmp_path, capsys):
+    star = tmp_path / "star.txt"
+    run(capsys, "gen", "--family", "star:400", "-o", str(star))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    # the clique search on a star recurses once per leaf, past this limit
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        code, _, err = run(capsys, "compute", "--invariant", "outer", "-i", str(star))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 4
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_check_suite_passes(capsys):
     code, out, _ = run(capsys, "check", "--suite", "sufficient")
     assert code == 0
@@ -164,11 +182,12 @@ def test_check_suite_passes(capsys):
     assert all(line.startswith("PASS") for line in lines[:-1])
 
 
-def test_check_json_report(capsys):
-    code, out, _ = run(capsys, "check", "--suite", "products", "--json")
+@pytest.mark.parametrize("suite", ["products", "families"])
+def test_check_json_report(capsys, suite):
+    code, out, _ = run(capsys, "check", "--suite", suite, "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["suite"] == "products"
+    assert payload["suite"] == suite
     assert payload["failures"] == 0
     assert payload["checks"] == len(payload["reports"])
     sample = payload["reports"][0]

@@ -1,13 +1,21 @@
+import re
+from collections import Counter
+from types import SimpleNamespace
+
 import pytest
 
+import genpos.laws
 from genpos import (
     FamilySpec,
+    VertexSet,
     build_graph,
     check_families,
     check_products,
     check_structural,
     check_sufficient,
     generate,
+    product,
+    random_tree,
     run_suite,
     simplicial_set,
     solve,
@@ -168,3 +176,67 @@ def test_run_suite_grids_are_green():
     assert len(run_suite("all", seed=0)) == total
     with pytest.raises(SpecError):
         run_suite("everything")
+
+
+# report counts per law at seed 0; a dropped or duplicated grid row shows here
+SUITE_LAW_COUNTS = {
+    "structural": dict.fromkeys(STRUCTURAL_LAWS, 70),
+    "sufficient": {
+        "all-edges-p4-inner-dual-zero": 29,
+        "girth6-dual-zero-iff-mindeg2": 29,
+    },
+    "products": {
+        "cartesian-total-zero": 16,
+        "cartesian-outer-min": 16,
+        "cartesian-dual-characterization": 16,
+        "cartesian-srg-direct-identity": 16,
+        "cartesian-convex-boxes": 16,
+    },
+    "families": {
+        "path-invariants-two": 11,
+        "path-variant-set-families": 11,
+        "cycle-dual-values": 9,
+        "theta-dual-zero-cases": 530,
+        "join-two-isolated-dual-zero": 5,
+        "cycle-chain-dual-values": 12,
+        "block-graph-four-equal": 57,
+        "bipartite-strong-product-outer": 7,
+        "dual-not-hereditary-on-c5": 1,
+    },
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_LAW_COUNTS))
+def test_run_suite_report_counts(suite):
+    assert Counter(r.law for r in run_suite(suite, 0)) == SUITE_LAW_COUNTS[suite]
+
+
+def _instance_graph(instance):
+    tree = re.fullmatch(r"tree\(seed=(\d+),n=(\d+)\)", instance)
+    if tree:
+        return random_tree(int(tree[2]), int(tree[1]))
+    strong = re.fullmatch(r"K\((\d+),(\d+)\) strong K\((\d+),(\d+)\)", instance)
+    if strong:
+        r1, t1, r2, t2 = strong.groups()
+        A = _family(f"complete_bipartite:{r1},{t1}")
+        B = _family(f"complete_bipartite:{r2},{t2}")
+        return product(A, B, "strong")
+    return _family(instance)
+
+
+def test_family_laws_fail_on_wrong_values(monkeypatch):
+    def wrong_solve(G, variant):
+        # 0 where the value is positive, 1 where it is 0: wrong for every law
+        value = 0 if solve(G, variant).value else 1
+        return SimpleNamespace(value=value, witness=VertexSet(G.n, range(value)))
+
+    monkeypatch.setattr(genpos.laws, "solve", wrong_solve)
+    reports = check_families(tree_count=2)
+    # the maximum-set law reads the feasibility tables, not the solver
+    value_reports = [r for r in reports if r.law != "path-variant-set-families"]
+    assert len(value_reports) == len(reports) - 11
+    assert not any(r.passed for r in value_reports)
+    for r in value_reports:
+        ce = r.counterexample
+        rebuilt = build_graph(ce["n"], [tuple(e) for e in ce["edges"]])
+        assert rebuilt == _instance_graph(r.instance), r.instance
