@@ -14,6 +14,7 @@ input too deep for the recursive searches.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -34,6 +35,9 @@ _EXIT_LAW_FAILURE = 1
 _EXIT_INPUT = 2
 _EXIT_DISCONNECTED = 3
 _EXIT_SIZE = 4
+
+# display order of the variants for --invariant all
+_ALL_ORDER = ("gp", "outer", "total", "dual")
 
 
 def read_graph(path: str) -> Graph:
@@ -89,9 +93,12 @@ def write_graph(G: Graph, path: str | None) -> None:
     text = format_graph(G)
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise SpecError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_gen(args) -> int:
@@ -107,28 +114,20 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _solve_one(G: Graph, invariant: str, exhaustive: bool, max_n: int):
-    if exhaustive:
-        return brute_force(G, invariant, max_n=max_n)
-    return solve(G, invariant)
-
-
-def _emit_values(G: Graph, args, exhaustive: bool = False, max_n: int = 18) -> int:
+def _emit_values(G: Graph, args, solver) -> int:
     if args.invariant == "all":
-        values = {}
-        for variant in ("gp", "outer", "total", "dual"):
-            values[variant] = _solve_one(G, variant, exhaustive, max_n).value
+        values = {variant: solver(G, variant).value for variant in _ALL_ORDER}
         if args.json:
             print(json.dumps(values))
         elif args.quiet:
-            for variant in ("gp", "outer", "total", "dual"):
+            for variant in _ALL_ORDER:
                 print(values[variant])
         else:
-            for variant in ("gp", "outer", "total", "dual"):
+            for variant in _ALL_ORDER:
                 print(f"{variant} = {values[variant]}")
         return 0
     start = time.perf_counter()
-    cert = _solve_one(G, args.invariant, exhaustive, max_n)
+    cert = solver(G, args.invariant)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     witness = sorted(cert.witness)
     if args.json:
@@ -154,13 +153,12 @@ def _emit_values(G: Graph, args, exhaustive: bool = False, max_n: int = 18) -> i
 
 
 def _cmd_compute(args) -> int:
-    return _emit_values(read_graph(args.input), args)
+    return _emit_values(read_graph(args.input), args, solve)
 
 
 def _cmd_oracle(args) -> int:
-    return _emit_values(
-        read_graph(args.input), args, exhaustive=True, max_n=args.max_n
-    )
+    oracle = functools.partial(brute_force, max_n=args.max_n)
+    return _emit_values(read_graph(args.input), args, oracle)
 
 
 def _cmd_srg(args) -> int:

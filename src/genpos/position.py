@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from operator import or_
 
 import numpy as np
@@ -110,43 +111,34 @@ def _branch_and_bound(bet, order, dual: bool, floor: int, ceiling: int):
     and the bound is the number of vertices later in ``order`` that are
     not forbidden.
 
-    With ``dual`` a feasible set counts only if its complement is convex,
-    since the dual sets are exactly the gp sets with a convex complement.
+    The dual sets are exactly the gp sets with a convex complement.
     Every vertex the search excludes, forbidden or passed over after its
     include branch, lies in the complement of every set below that point,
-    and so does the convex hull of those vertices.  The search keeps that
-    hull, grown by betweenness closure as vertices are excluded, and
-    forbids it, so the bound counts it too.  A hull that meets the chosen
-    set ends the loop: every later sibling excludes the same vertices.
+    and so does the convex hull of those vertices.  With ``dual`` the
+    search keeps that hull, grown by betweenness closure as vertices are
+    excluded, and forbids it, so the bound counts it too.  A hull that
+    meets the chosen set ends the loop: every later sibling excludes the
+    same vertices.
 
-    Returns ``(size, members)`` for the first counted set in include-first
-    order that is larger than ``floor``, improved on until the search is
-    exhausted or a set reaches ``ceiling``.  ``ceiling`` must bound every
-    counted set: no set is grown past it.  When nothing beats ``floor``
-    the result is ``(floor, ())``.
+    A set counts only where its frame has run out of vertices uncut.
+    With ``dual`` the complement is then the hull, which is convex.
+    Returns ``(size, members)`` for the largest counted set larger than
+    ``floor``, or ``(floor, ())``.  No set grows past ``ceiling``, and
+    the search stops once a set reaches it.
 
-    With ``order`` ascending, include-first search meets sets of equal
-    size in lexicographic order.  The bound only cuts subtrees that cannot
-    beat the best so far, and the hull cut only subtrees that hold no dual
-    set.  So ``floor=value-1, ceiling=value`` returns the lexicographically
-    least optimum.
+    With ``order`` ascending and ``floor=value-1, ceiling=value``, only
+    frames holding ``value`` vertices count; they have no children, so
+    they finish in include-first, that is lexicographic, order.  The
+    bound cuts only subtrees that cannot beat the best so far, and the
+    hull cut only subtrees without a dual set, so the first set counted
+    is the lexicographically least optimum.
     """
     n = len(order)
-    full = (1 << n) - 1
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] | (1 << order[i])
     best = floor
     best_members = ()
-
-    def convex_complement(xmask: int) -> bool:
-        comp = list(bits(full & ~xmask))
-        for i, u in enumerate(comp):
-            bu = bet[u]
-            for v in comp[i + 1 :]:
-                if bu[v] & xmask:
-                    return False
-        return True
 
     def grow(hull: int, v: int) -> int:
         # convex hull of hull + v: hull is convex, so only pairs with a
@@ -170,7 +162,7 @@ def _branch_and_bound(bet, order, dual: bool, floor: int, ceiling: int):
             v = order[i]
             i += 1
             bit = 1 << v
-            if not forb & bit:
+            if size < ceiling and not forb & bit:
                 newmask = xmask | bit
                 bv = bet[v]
                 grown = forb
@@ -183,18 +175,17 @@ def _branch_and_bound(bet, order, dual: bool, floor: int, ceiling: int):
                     grown |= b
                 if ok:
                     xs.append(v)
-                    if size + 1 > best and (not dual or convex_complement(newmask)):
-                        best = size + 1
-                        best_members = tuple(xs)
-                    if size + 1 < ceiling:
-                        rec(i, newmask, xs, grown, hull, size + 1)
+                    rec(i, newmask, xs, grown, hull, size + 1)
                     xs.pop()
             # from here on v is excluded
             if dual and not hull & bit:
-                hull = grow(hull, v) if hull else bit
+                hull = grow(hull, v)
                 if hull & xmask:
                     return
                 forb |= hull
+        if size > best:
+            best = size
+            best_members = tuple(xs)
 
     rec(0, 0, [], 0, 0, 0)
     return best, best_members
@@ -205,14 +196,14 @@ def solve(G: Graph, variant: str) -> Certificate:
 
     total uses the simplicial set directly and outer takes a maximum
     clique of the strong resolving graph.  gp and dual run the same
-    branch and bound over the betweenness conflicts.  For dual it counts
-    only sets with a convex complement, and it forbids the convex hull of
-    the vertices it has excluded, which no dual set below that point can
-    meet.  That search runs twice: once in descending eccentricity order
-    for the value, then in ascending vertex order, stopping at the first
-    set of that value, for the witness.  Both cuts remove only subtrees
-    without a better set, so witnesses are lexicographically least among
-    the optima.
+    branch and bound over the betweenness conflicts.  For dual it forbids
+    the convex hull of the vertices it has excluded, which no dual set
+    below that point can meet, and a set counts once that hull is its
+    whole complement.  That search runs twice: once in descending
+    eccentricity order for the value, then in ascending vertex order,
+    stopping at the first set of that value, for the witness.  Both cuts
+    remove only subtrees without a better set, so witnesses are
+    lexicographically least among the optima.
     """
     _check_variant(variant)
     if G.n == 0:
@@ -238,10 +229,10 @@ def solve(G: Graph, variant: str) -> Certificate:
 
 
 # Which pairs u, v of the graph a subset X must keep free of its own
-# members, by whether u and v lie in X.  "any pair" needs no membership.
+# members, by whether u and v lie in X.  "any pair" needs no membership
+# and is handled apart.
 _PAIR_RULES = {
     "both in": np.logical_and,
-    "any pair": None,
     "either in": np.logical_or,
     "same side": np.equal,
     "neither in": lambda in_u, in_v: ~(in_u | in_v),
@@ -260,19 +251,20 @@ def _pair_table(bet, rule: str) -> np.ndarray:
     """
     n = len(bet)
     masks = np.arange(1 << n, dtype=np.int64)
+    if rule == "any pair":
+        # every pair counts, so X must avoid the union of all interiors
+        return (masks & reduce(or_, chain.from_iterable(bet), 0)) == 0
     ok = np.ones(1 << n, dtype=bool)
     combine = _PAIR_RULES[rule]
     for u in range(n):
         row = bet[u]
-        if combine is not None:
-            in_u = (masks & (1 << u)) != 0
+        in_u = (masks & (1 << u)) != 0
         for v in range(u + 1, n):
             b = row[v]
             if b == 0:
                 continue
             relevant = (masks & b) != 0
-            if combine is not None:
-                relevant &= combine(in_u, (masks & (1 << v)) != 0)
+            relevant &= combine(in_u, (masks & (1 << v)) != 0)
             ok &= ~relevant
     return ok
 

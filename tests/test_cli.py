@@ -128,6 +128,17 @@ def test_compute_missing_file_exits_2(capsys):
     assert code == 2 and "cannot read" in err
 
 
+@pytest.mark.parametrize("command", ["gen", "srg"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command):
+    p3 = tmp_path / "p3.txt"
+    run(capsys, "gen", "--family", "path:3", "-o", str(p3))
+    source = ("--family", "path:3") if command == "gen" else ("-i", str(p3))
+    target = str(tmp_path / "no_such_dir" / "g.txt")
+    code, _, err = run(capsys, command, *source, "-o", target)
+    assert code == 2 and "cannot write" in err
+    assert "Traceback" not in err
+
+
 def test_srg_emits_edge_list(tmp_path, capsys):
     p4 = tmp_path / "p4.txt"
     run(capsys, "gen", "--family", "path:4", "-o", str(p4))

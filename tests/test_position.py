@@ -245,15 +245,24 @@ def test_path_dual_families_exhaustively():
         }
 
 
-def test_feasibility_table_matches_predicate():
-    for seed in (3, 11):
-        G = random_connected(7, 0.45, seed)
-        D = all_pairs_distances(G)
-        for variant in VARIANTS:
-            table = variant_feasibility(D, variant)
-            for mask in range(1 << 7):
-                X = VertexSet.from_mask(7, mask)
-                assert bool(table[mask]) == is_variant_set(G, D, X, variant)
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "random_connected:7,0.45,3",
+        "random_connected:7,0.45,11",
+        # no vertex lies between two others: every subset is total
+        "complete:5",
+        "star:5",
+    ],
+)
+def test_feasibility_table_matches_predicate(spec, spec_graph):
+    G = spec_graph(spec)
+    D = all_pairs_distances(G)
+    for variant in VARIANTS:
+        table = variant_feasibility(D, variant)
+        for mask in range(1 << G.n):
+            X = VertexSet.from_mask(G.n, mask)
+            assert bool(table[mask]) == is_variant_set(G, D, X, variant)
 
 
 def test_popcount_table():
@@ -285,7 +294,10 @@ _SMALL_PRODUCTS = [
     [f"cycle:{n}" for n in range(3, 13)]
     + ["theta:2,3,3", "theta:3,4,5", "gm_join:5", "gm_join:8"]
     + ["chain_cycles:2,4", "chain_cycles:2,6"]
-    + _SMALL_PRODUCTS,
+    + _SMALL_PRODUCTS
+    # large dual sets (all of K_n, every leaf set of a star) and n = 1, 2
+    + ["complete:1", "path:2", "path:12", "star:4", "star:9", "complete:6"]
+    + ["complete_bipartite:2,5", "complete_bipartite:3,3"],
 )
 def test_solver_oracle_agreement_structured(spec, spec_graph):
     # many of these have a nonempty dual set, where the hull cut fires;
