@@ -101,15 +101,62 @@ def is_variant_set(G: Graph, D: DistMatrix, X: VertexSet, variant: str) -> bool:
     return True
 
 
-def _branch_and_bound(bet, order, dual: bool, floor: int, ceiling: int):
+def _shadow_row(G: Graph, D: DistMatrix, a: int) -> list:
+    """Row a of the shadow table: entry b holds w iff b lies strictly
+    between a and w, that is, the descendants of b in the BFS DAG of a.
+
+    One pass over the vertices, farthest from a first: the descendants
+    of b are its neighbours one step farther from a and their own
+    descendants.  One sort and O(n + m) bitmask ORs.
+    """
+    da, adj = D.d[a], G.adj
+    row = [0] * G.n
+    for b in sorted(range(G.n), key=da.__getitem__, reverse=True):
+        down = da[b] + 1
+        r = 0
+        for w in adj[b]:
+            if da[w] == down:
+                r |= row[w] | 1 << w
+        row[b] = r
+    return row
+
+
+class _HalfLinks(dict):
+    """``half[a][b] = bet[a][b] | sh[a][b]``: the vertices w such that a
+    is an end of a geodesic through all of a, b and w.  Each row is
+    built on first use.
+
+    The conflict link of a pair, the vertices w that make a conflict
+    triple with u and v, is ``half[u][v] | half[v][u]``.
+    """
+
+    def __init__(self, G: Graph, D: DistMatrix, bet):
+        super().__init__()
+        self.G, self.D, self.bet = G, D, bet
+
+    def __missing__(self, a: int) -> list:
+        sh = _shadow_row(self.G, self.D, a)
+        row = self[a] = [s | b for s, b in zip(sh, self.bet[a])]
+        return row
+
+
+def _branch_and_bound(
+    bet, half, simplicial: int, order, dual: bool, floor: int, ceiling: int
+):
     """Include-first branch and bound over the downward-closed gp sets.
 
     Feasibility is a 3-uniform conflict system: the triples (u, x, v)
     with x strictly between u and v (bet[u][v] holds x).  A set is
-    feasible iff it contains no full triple, so the search prunes on the
-    first violation.  Choosing u and v forbids every vertex between them,
-    and the bound is the number of vertices later in ``order`` that are
-    not forbidden.
+    feasible iff it contains no full triple.  When v joins the chosen
+    set, the search forbids for each chosen u the whole conflict link
+    ``half[v][u] | half[u][v]`` of the pair: the vertices between u and
+    v, the vertices w with u between v and w, and those with v between u
+    and w.  Every vertex that is not forbidden can then be added without
+    a conflict, so no conflict test runs, and the bound, the number of
+    vertices later in ``order`` that are not forbidden, is the true
+    candidate count.  A simplicial vertex lies inside no geodesic, so
+    ``half[a][b]`` is just ``bet[a][b]`` for b in the ``simplicial``
+    mask; pairs of simplicial vertices build no rows at all.
 
     The dual sets are exactly the gp sets with a convex complement.
     Every vertex the search excludes, forbidden or passed over after its
@@ -140,9 +187,10 @@ def _branch_and_bound(bet, order, dual: bool, floor: int, ceiling: int):
     best = floor
     best_members = ()
 
-    def grow(hull: int, v: int) -> int:
+    def grow(hull: int, v: int, xmask: int) -> int:
         # convex hull of hull + v: hull is convex, so only pairs with a
-        # vertex new to it can add more
+        # vertex new to it can add more.  It stops once it meets xmask,
+        # since the caller then returns.
         members = list(bits(hull))
         hull |= 1 << v
         fresh = [v]
@@ -150,6 +198,8 @@ def _branch_and_bound(bet, order, dual: bool, floor: int, ceiling: int):
             add = reduce(or_, map(bet[w].__getitem__, members), 0) & ~hull
             if add:
                 hull |= add
+                if hull & xmask:
+                    return hull
                 fresh += bits(add)
             members.append(w)
         return hull
@@ -163,23 +213,22 @@ def _branch_and_bound(bet, order, dual: bool, floor: int, ceiling: int):
             i += 1
             bit = 1 << v
             if size < ceiling and not forb & bit:
-                newmask = xmask | bit
-                bv = bet[v]
+                hv = half[v] if xmask & ~simplicial else bet[v]
                 grown = forb
-                ok = True
-                for u in xs:
-                    b = bv[u]
-                    if b & newmask:
-                        ok = False
-                        break
-                    grown |= b
-                if ok:
+                if bit & simplicial:
+                    for u in xs:
+                        grown |= hv[u]
+                else:
+                    for u in xs:
+                        grown |= hv[u] | half[u][v]
+                # the child's first bound test, made before the call
+                if size + 1 + (suffix[i] & ~grown).bit_count() > best:
                     xs.append(v)
-                    rec(i, newmask, xs, grown, hull, size + 1)
+                    rec(i, xmask | bit, xs, grown, hull, size + 1)
                     xs.pop()
             # from here on v is excluded
             if dual and not hull & bit:
-                hull = grow(hull, v)
+                hull = grow(hull, v, xmask)
                 if hull & xmask:
                     return
                 forb |= hull
@@ -196,35 +245,41 @@ def solve(G: Graph, variant: str) -> Certificate:
 
     total uses the simplicial set directly and outer takes a maximum
     clique of the strong resolving graph.  gp and dual run the same
-    branch and bound over the betweenness conflicts.  For dual it forbids
-    the convex hull of the vertices it has excluded, which no dual set
-    below that point can meet, and a set counts once that hull is its
-    whole complement.  That search runs twice: once in descending
-    eccentricity order for the value, then in ascending vertex order,
-    stopping at the first set of that value, for the witness.  Both cuts
-    remove only subtrees without a better set, so witnesses are
-    lexicographically least among the optima.
+    branch and bound over the betweenness conflicts.  Each chosen pair
+    forbids its whole conflict link, so every vertex not forbidden is
+    addable; the shadow rows behind the link are built on first use and
+    shared by both runs, and pairs of simplicial vertices need none.
+    For dual the search also forbids the convex hull of the vertices it
+    has excluded, which no dual set below that point can meet, and a set
+    counts once that hull is its whole complement.  That search runs
+    twice: once in descending eccentricity order for the value, then in
+    ascending vertex order, stopping at the first set of that value, for
+    the witness.  Both cuts remove only subtrees without a better set,
+    so witnesses are lexicographically least among the optima.
     """
     _check_variant(variant)
     if G.n == 0:
         raise EmptySetError("solve needs at least one vertex")
     if not is_connected(G):
         raise DisconnectedError("solve needs a connected graph")
-    if variant == "total":
-        simp = simplicial_set(G)
-        return Certificate("total", len(simp), simp, "closed_form")
     if variant == "outer":
         size, witness = maximum_clique(strong_resolving_graph(G))
         return Certificate("outer", size, VertexSet(G.n, witness), "clique")
+    simp = simplicial_set(G)
+    if variant == "total":
+        return Certificate("total", len(simp), simp, "closed_form")
     n = G.n
     D = all_pairs_distances(G)
     bet = interval_masks(D)
+    half = _HalfLinks(G, D, bet)
     dual = variant == "dual"
     ecc = [max(row) for row in D.d]
     order = sorted(range(n), key=lambda v: (-ecc[v], v))
-    value, witness = _branch_and_bound(bet, order, dual, 0, n)
+    value, witness = _branch_and_bound(bet, half, simp.mask, order, dual, 0, n)
     if value:
-        _, witness = _branch_and_bound(bet, range(n), dual, value - 1, value)
+        _, witness = _branch_and_bound(
+            bet, half, simp.mask, range(n), dual, value - 1, value
+        )
     return Certificate(variant, value, VertexSet(n, witness), "branch_and_bound")
 
 

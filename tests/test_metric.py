@@ -1,5 +1,7 @@
 import itertools
 import math
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from genpos.errors import (
     EmptySetError,
     NotAnEdgeError,
 )
+from genpos.position import _shadow_row
 
 
 def _family(text):
@@ -99,8 +102,7 @@ def test_lies_between_on_path():
         lies_between(D, 3, 1, 3)
 
 
-@pytest.mark.parametrize(
-    "spec",
+_METRIC_SPECS = (
     [
         "cycle:6",
         "path:9",
@@ -111,8 +113,11 @@ def test_lies_between_on_path():
         "cartesian:cycle:5|path:3",
     ]
     + [f"random_tree:25,{s}" for s in (1, 2, 3)]
-    + [f"random_connected:25,0.2,{s}" for s in (1, 2, 3)],
+    + [f"random_connected:25,0.2,{s}" for s in (1, 2, 3)]
 )
+
+
+@pytest.mark.parametrize("spec", _METRIC_SPECS)
 def test_interval_masks_match_strict_betweenness(spec, spec_graph):
     G = spec_graph(spec)
     n = G.n
@@ -127,6 +132,45 @@ def test_interval_masks_match_strict_betweenness(spec, spec_graph):
             for w in range(n):
                 expect = w not in (u, v) and lies_between(D, u, w, v)
                 assert bool(bet[u][v] >> w & 1) == expect
+
+
+@pytest.mark.parametrize("spec", _METRIC_SPECS)
+def test_shadow_rows_match_strict_betweenness(spec, spec_graph):
+    # sh[a][b] holds w iff b lies strictly between a and w
+    G = spec_graph(spec)
+    n = G.n
+    D = all_pairs_distances(G)
+    for a in range(n):
+        row = _shadow_row(G, D, a)
+        for b in range(n):
+            if b == a:
+                continue
+            for w in range(n):
+                expect = w not in (a, b) and lies_between(D, a, b, w)
+                assert bool(row[b] >> w & 1) == expect
+
+
+def _interiors_miss_the_simplicial_vertices(G):
+    # a simplicial vertex lies inside no geodesic, and every other vertex
+    # is the middle of an induced path on three vertices
+    bet = interval_masks(all_pairs_distances(G))
+    inside = reduce(or_, itertools.chain.from_iterable(bet), 0)
+    assert inside == ((1 << G.n) - 1) & ~simplicial_set(G).mask
+
+
+@pytest.mark.parametrize("spec", _METRIC_SPECS)
+def test_geodesic_interiors_are_the_non_simplicial_vertices(spec, spec_graph):
+    _interiors_miss_the_simplicial_vertices(spec_graph(spec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    p=st.floats(min_value=0.2, max_value=0.9),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_geodesic_interiors_are_the_non_simplicial_vertices_random(n, p, seed):
+    _interiors_miss_the_simplicial_vertices(random_connected(n, p, seed))
 
 
 def test_antipodal_interval_in_even_cycle():

@@ -325,3 +325,25 @@ def test_solver_oracle_agreement_random(n, seed, tree):
             oracle.value,
             tuple(oracle.witness),
         )
+
+
+@pytest.mark.parametrize(
+    "spec,variant,value,witness",
+    [
+        # the conflict link of two adjacent vertices is every other vertex
+        ("path:200", "gp", 2, (0, 1)),
+        ("path:200", "dual", 2, (0, 1)),
+        # every leaf; pairs of leaves, both simplicial, need no shadow rows
+        ("star:200", "gp", 200, tuple(range(1, 201))),
+        ("star:200", "dual", 200, tuple(range(1, 201))),
+        # m + n - 2 for K_m x K_n, with no simplicial vertex at all
+        ("cartesian:complete:4|complete:8", "gp", 10, None),
+    ],
+)
+def test_easy_large_instances(spec, variant, value, witness, spec_graph):
+    G = spec_graph(spec)
+    cert = solve(G, variant)
+    assert cert.value == value
+    if witness is not None:
+        assert tuple(cert.witness) == witness
+    assert is_variant_set(G, all_pairs_distances(G), cert.witness, variant)
