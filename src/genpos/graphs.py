@@ -170,58 +170,111 @@ def is_connected(G: Graph) -> bool:
 def maximum_clique(G: Graph):
     """Exact maximum clique: (size, lexicographically least witness tuple).
 
-    Size comes from Bron-Kerbosch with pivoting, pruned against the best
-    clique found so far.  The witness is then recovered by a separate
-    lexicographic depth-first search at the known size, so ties always
-    resolve to the least vertex tuple.
+    Size comes from a branch and bound bounded by greedy sequential
+    colouring (Tomita and Seki's MCQ).  The witness is then recovered by
+    a separate include-first search in ascending vertex order for the
+    first clique of that size, so ties always resolve to the least vertex
+    tuple.  Both passes keep explicit stacks, so no input depends on the
+    recursion limit.
     """
-    n = G.n
-    if n == 0:
-        return 0, ()
-    nbr = G.neighbor_masks
-    best = 1
-
-    def expand(rsize: int, P: int, X: int):
-        nonlocal best
-        if P == 0:
-            if X == 0 and rsize > best:
-                best = rsize
-            return
-        if rsize + P.bit_count() <= best:
-            return
-        pool = P | X
-        pivot = max(bits(pool), key=lambda u: (P & nbr[u]).bit_count())
-        for v in bits(P & ~nbr[pivot]):
-            bit = 1 << v
-            expand(rsize + 1, P & nbr[v], X & nbr[v])
-            P &= ~bit
-            X |= bit
-
-    expand(0, (1 << n) - 1, 0)
-    return best, _lex_clique(nbr, n, best)
+    return _maximum_clique(G.neighbor_masks)
 
 
-def _lex_clique(nbr, n: int, k: int):
-    """First k-clique in lexicographic order of sorted vertex tuples."""
+def _maximum_clique(nbr):
+    """maximum_clique on the neighbour masks of a graph on 0..len(nbr)-1."""
+    size = _clique_size(nbr)
+    return size, _first_clique(nbr, size)
+
+
+def _colour_classes(nbr, P: int):
+    """Greedy sequential colouring of the vertices in P, lowest vertex
+    first.  Returns the vertices in order of colour and their colours
+    1, 2, ...; each colour class is independent, so a clique of P meets
+    at most as many classes as the colour of its last vertex.
+    """
+    verts, cols = [], []
+    k = 0
+    while P:
+        k += 1
+        Q = P
+        while Q:
+            low = Q & -Q
+            v = low.bit_length() - 1
+            P ^= low
+            Q &= ~(nbr[v] | low)
+            verts.append(v)
+            cols.append(k)
+    return verts, cols
+
+
+def _clique_size(nbr) -> int:
+    """Clique number by colour-bounded branch and bound on a stack.
+
+    A frame holds the clique size so far, its candidates P in colour
+    order and the index of the next candidate, taken from the highest
+    colour down.  Candidate i, together with everything before it, needs
+    at most its colour in further vertices, so the first candidate whose
+    colour cannot beat the best ends the frame.  A candidate set whose
+    colouring uses one colour per vertex is itself a clique and is taken
+    whole, without a child frame.
+    """
+    n = len(nbr)
+    P = (1 << n) - 1
+    verts, cols = _colour_classes(nbr, P)
+    if not verts or cols[-1] == n:
+        return n
+    best = size = 0
+    i = n
+    stack = []
+    while True:
+        if i and size + cols[i - 1] > best:
+            i -= 1
+            v = verts[i]
+            P ^= 1 << v
+            Q = P & nbr[v]
+            if not Q:
+                best = max(best, size + 1)
+                continue
+            qverts, qcols = _colour_classes(nbr, Q)
+            if qcols[-1] == len(qverts):
+                best = max(best, size + 1 + len(qverts))
+                continue
+            stack.append((size, verts, cols, P, i))
+            size, verts, cols, P, i = size + 1, qverts, qcols, Q, len(qverts)
+        elif stack:
+            size, verts, cols, P, i = stack.pop()
+        else:
+            return best
+
+
+def _first_clique(nbr, k: int):
+    """First k-clique in lexicographic order of sorted vertex tuples.
+
+    Include-first search in ascending vertex order on a stack of
+    candidate masks.  A vertex is taken only if enough of its later
+    neighbours remain to complete the clique.
+    """
     if k == 0:
         return ()
-    chosen: list[int] = []
-
-    def rec(cand: int, need: int) -> bool:
-        if need == 0:
-            return True
-        for v in bits(cand):
-            rest = cand & nbr[v] & ~((1 << (v + 1)) - 1)
-            if 1 + rest.bit_count() >= need:
+    chosen, stack = [], []
+    cand, need = (1 << len(nbr)) - 1, k
+    while True:
+        if cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            rest = cand & nbr[v]
+            if rest.bit_count() >= need - 1:
                 chosen.append(v)
-                if rec(rest, need - 1):
-                    return True
-                chosen.pop()
-        return False
-
-    found = rec((1 << n) - 1, k)
-    assert found, "witness search must succeed at the computed clique size"
-    return tuple(chosen)
+                if need == 1:
+                    return tuple(chosen)
+                stack.append(cand)
+                cand, need = rest, need - 1
+        else:
+            assert stack, "witness search must succeed at the clique size"
+            chosen.pop()
+            cand = stack.pop()
+            need += 1
 
 
 def clique_number(G: Graph) -> int:

@@ -26,9 +26,9 @@ from operator import or_
 import numpy as np
 
 from .errors import DegeneratePairError, DisconnectedError, EmptySetError, SizeError
-from .graphs import Graph, VertexSet, bits, is_connected, maximum_clique
+from .graphs import Graph, VertexSet, _maximum_clique, bits, is_connected
 from .metric import DistMatrix, all_pairs_distances, interval_masks, simplicial_set
-from .srg import strong_resolving_graph
+from .srg import _strong_resolving_rows
 
 VARIANTS = ("gp", "total", "outer", "dual")
 
@@ -244,7 +244,9 @@ def solve(G: Graph, variant: str) -> Certificate:
     """Exact certificate for one variant of a connected graph.
 
     total uses the simplicial set directly and outer takes a maximum
-    clique of the strong resolving graph.  gp and dual run the same
+    clique of the strong resolving graph; outer works on that graph's
+    neighbour masks alone, from one BFS per vertex, and builds no
+    distance table and no Graph.  gp and dual run the same
     branch and bound over the betweenness conflicts.  Each chosen pair
     forbids its whole conflict link, so every vertex not forbidden is
     addable; the shadow rows behind the link are built on first use and
@@ -263,7 +265,7 @@ def solve(G: Graph, variant: str) -> Certificate:
     if not is_connected(G):
         raise DisconnectedError("solve needs a connected graph")
     if variant == "outer":
-        size, witness = maximum_clique(strong_resolving_graph(G))
+        size, witness = _maximum_clique(_strong_resolving_rows(G))
         return Certificate("outer", size, VertexSet(G.n, witness), "clique")
     simp = simplicial_set(G)
     if variant == "total":

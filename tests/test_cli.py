@@ -174,15 +174,34 @@ def test_compute_too_deep_exits_4(tmp_path, capsys):
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
-    # the clique search on a star recurses once per leaf, past this limit
+    # the gp search on a star recurses once per chosen leaf, past this limit
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 150)
     try:
-        code, _, err = run(capsys, "compute", "--invariant", "outer", "-i", str(star))
+        code, _, err = run(capsys, "compute", "--invariant", "gp", "-i", str(star))
     finally:
         sys.setrecursionlimit(limit)
     assert code == 4
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_compute_outer_on_a_large_star(tmp_path, capsys):
+    # outer does not recurse: at Python's default limit the
+    # strong resolving graph's clique is every leaf
+    star = tmp_path / "star.txt"
+    run(capsys, "gen", "--family", "star:1200", "-o", str(star))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code, out, err = run(capsys, "compute", "--invariant", "outer", "-i", str(star))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "outer = 1200",
+        "witness = " + " ".join(map(str, range(1, 1201))),
+        "method = clique",
+    ]
 
 
 def test_check_suite_passes(capsys):

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genpos import (
     Graph,
@@ -124,3 +126,54 @@ def test_clique_number_against_subset_enumeration():
                 if all(G.has_edge(u, v) for u, v in itertools.combinations(sub, 2)):
                     best = max(best, size)
         assert clique_number(G) == best, (n, edges)
+
+
+def _first_maximum_clique(G):
+    # largest size first, then the first clique in lexicographic order
+    for size in range(G.n, 0, -1):
+        for sub in itertools.combinations(range(G.n), size):
+            if all(G.has_edge(u, v) for u, v in itertools.combinations(sub, 2)):
+                return size, sub
+    return 0, ()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=12),
+    density=st.floats(min_value=0.05, max_value=0.95),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_maximum_clique_against_subset_enumeration(n, density, seed):
+    rng = random.Random(seed)
+    pairs = itertools.combinations(range(n), 2)
+    G = build_graph(n, [e for e in pairs if rng.random() < density])
+    assert maximum_clique(G) == _first_maximum_clique(G)
+
+
+def _complete_on(n, members):
+    return build_graph(n, list(itertools.combinations(members, 2)))
+
+
+@pytest.mark.parametrize(
+    "G,expected",
+    [
+        (build_graph(0), (0, ())),
+        (build_graph(5), (1, (0,))),
+        # the whole graph is one colour per vertex, taken without a search
+        (_complete_on(5, range(5)), (5, (0, 1, 2, 3, 4))),
+        # the clique is found whole below the root
+        (_complete_on(8, range(2, 7)), (5, (2, 3, 4, 5, 6))),
+        # C5 joined to K2: clique number 4, but greedy colouring needs 5
+        (
+            build_graph(
+                7,
+                [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (5, 6)]
+                + [(c, k) for c in range(5) for k in (5, 6)],
+            ),
+            (4, (0, 1, 5, 6)),
+        ),
+    ],
+    ids=["empty", "edgeless", "complete", "complete-plus-isolated", "c5-join-k2"],
+)
+def test_maximum_clique_pinned(G, expected):
+    assert maximum_clique(G) == expected

@@ -347,3 +347,23 @@ def test_easy_large_instances(spec, variant, value, witness, spec_graph):
     if witness is not None:
         assert tuple(cert.witness) == witness
     assert is_variant_set(G, all_pairs_distances(G), cert.witness, variant)
+
+
+@pytest.mark.parametrize(
+    "spec,value,witness",
+    [
+        ("star:200", 200, tuple(range(1, 201))),
+        ("path:200", 2, (0, 199)),
+        ("random_tree:500,1", None, None),
+    ],
+)
+def test_easy_large_outer_instances(spec, value, witness, spec_graph):
+    # outer on a tree is its set of leaves, the mutually maximally
+    # distant clique; compared to the leaves directly, since checking a
+    # set of hundreds with is_variant_set takes seconds
+    G = spec_graph(spec)
+    leaves = tuple(v for v in range(G.n) if G.degree(v) == 1)
+    cert = solve(G, "outer")
+    assert (cert.value, tuple(cert.witness)) == (len(leaves), leaves)
+    if value is not None:
+        assert (cert.value, tuple(cert.witness)) == (value, witness)

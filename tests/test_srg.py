@@ -1,4 +1,7 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_metric import _METRIC_SPECS
 
 from genpos import (
     FamilySpec,
@@ -8,9 +11,11 @@ from genpos import (
     generate,
     is_mmd,
     product,
+    random_connected,
     strong_resolving_graph,
 )
-from genpos.errors import DegeneratePairError, DisconnectedError
+from genpos.errors import DegeneratePairError, DisconnectedError, EmptySetError
+from genpos.srg import _maximally_distant_rows, _strong_resolving_rows
 
 
 def _family(text):
@@ -50,6 +55,43 @@ def test_srg_keeps_vertex_set_and_may_disconnect():
 def test_srg_requires_connected_input():
     with pytest.raises(DisconnectedError):
         strong_resolving_graph(build_graph(4, [(0, 1), (2, 3)]))
+    with pytest.raises(EmptySetError):
+        strong_resolving_graph(build_graph(0))
+
+
+def _rows_match_is_mmd(G):
+    D = all_pairs_distances(G)
+    rows = _strong_resolving_rows(G)
+    assert len(rows) == G.n
+    for u in range(G.n):
+        assert not rows[u] >> u & 1
+        for v in range(G.n):
+            if u != v:
+                assert bool(rows[u] >> v & 1) == is_mmd(G, D, u, v), (u, v)
+
+
+@pytest.mark.parametrize("spec", _METRIC_SPECS)
+def test_srg_rows_match_is_mmd(spec, spec_graph):
+    _rows_match_is_mmd(spec_graph(spec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    p=st.floats(min_value=0.2, max_value=0.9),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_srg_rows_match_is_mmd_random(n, p, seed):
+    _rows_match_is_mmd(random_connected(n, p, seed))
+
+
+def test_maximally_distant_rows_need_the_transpose():
+    # every leaf of a star is maximally distant from the centre, but the
+    # centre, whose other leaves lie farther out, is so from no leaf
+    rows = [int(r, 2) for r in _maximally_distant_rows(_family("star:3"))]
+    assert rows == [0b1110, 0b1100, 0b1010, 0b0110]
+    # so the centre is isolated in the strong resolving graph
+    assert _strong_resolving_rows(_family("star:3")) == [0, 0b1100, 0b1010, 0b0110]
 
 
 def test_mmd_pairs_on_path():
