@@ -167,7 +167,9 @@ def _cmd_srg(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    start = time.perf_counter()
     reports = run_suite(args.suite, args.seed)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
     failures = [r for r in reports if not r.passed]
     if args.json:
         print(
@@ -178,6 +180,7 @@ def _cmd_check(args) -> int:
                     "checks": len(reports),
                     "failures": len(failures),
                     "reports": [r.to_dict() for r in reports],
+                    "elapsed_ms": round(elapsed_ms, 3),
                 }
             )
         )

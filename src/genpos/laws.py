@@ -5,7 +5,8 @@ LawReport.  Structural laws compare whole set families exhaustively on
 small graphs; sufficient-condition and family laws compare solver output
 against closed-form expectations; product laws exercise the cartesian
 product identities.  Failing reports carry a replayable payload (vertex
-count, edge list, offending sets).
+count, edge list, offending sets).  numpy is imported inside the
+checks that build tables over all subsets, not with this module.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
 from operator import or_
-
-import numpy as np
 
 from .errors import DisconnectedError, SizeError, SpecError
 from .families import FamilySpec, generate, product, random_connected, random_tree
@@ -82,6 +81,8 @@ def _report(law, instance, ok, expected, actual, G: Graph, **sets) -> LawReport:
 def _same_family(law, instance, G, expected, lhs, rhs, where=True, **sets):
     """Compare two boolean tables over all subset masks of G, restricted
     to ``where``; on failure the payload names the first differing mask."""
+    import numpy as np
+
     differ = np.flatnonzero((lhs != rhs) & where)
     ok = differ.size == 0
     actual = "families equal" if ok else "families differ"
@@ -110,6 +111,8 @@ def check_structural(G: Graph, name: str | None = None) -> list[LawReport]:
     """
     if G.n > 12:
         raise SizeError(f"structural checks capped at n <= 12, got {G.n}")
+    import numpy as np
+
     D = all_pairs_distances(G)
     n = G.n
     name = name or f"graph(n={G.n},m={G.m})"
@@ -488,6 +491,8 @@ def _measure(G: Graph, key: str):
     if key == "inner_edge":
         return any(is_p4_inner_isometric(G, D, x, y) for x, y in G.edges())
     # maximum_sets: per variant, the maximum size and the sets of that size
+    import numpy as np
+
     pops = popcount_table(G.n)
     found = {}
     for variant in VARIANTS:

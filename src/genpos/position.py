@@ -14,6 +14,10 @@ different pair sets:
 tries every subset.  Diagonal pairs u = u are excluded throughout, the
 empty set satisfies every variant, and a value of 0 for the dual variant
 means no nonempty dual set exists.
+
+The solvers work on Python ints as bitmasks.  Only the oracle's tables
+over all 2**n subsets are numpy arrays, and numpy is imported inside
+the functions that build them, so ``solve`` never loads it.
 """
 
 from __future__ import annotations
@@ -22,13 +26,15 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import or_
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegeneratePairError, DisconnectedError, EmptySetError, SizeError
 from .graphs import Graph, VertexSet, _maximum_clique, bits, is_connected
 from .metric import DistMatrix, all_pairs_distances, interval_masks, simplicial_set
 from .srg import _strong_resolving_rows
+
+if TYPE_CHECKING:
+    import numpy as np
 
 VARIANTS = ("gp", "total", "outer", "dual")
 
@@ -289,9 +295,9 @@ def solve(G: Graph, variant: str) -> Certificate:
 # members, by whether u and v lie in X.  "any pair" needs no membership
 # and is handled apart.
 _PAIR_RULES = {
-    "both in": np.logical_and,
-    "either in": np.logical_or,
-    "same side": np.equal,
+    "both in": lambda in_u, in_v: in_u & in_v,
+    "either in": lambda in_u, in_v: in_u | in_v,
+    "same side": lambda in_u, in_v: in_u == in_v,
     "neither in": lambda in_u, in_v: ~(in_u | in_v),
 }
 _VARIANT_RULES = dict(zip(VARIANTS, ("both in", "any pair", "either in", "same side")))
@@ -306,6 +312,8 @@ def _pair_table(bet, rule: str) -> np.ndarray:
     "either in" (outer) and "same side" (dual); "neither in" holds
     exactly for the subsets with a convex complement.
     """
+    import numpy as np
+
     n = len(bet)
     masks = np.arange(1 << n, dtype=np.int64)
     if rule == "any pair":
@@ -332,6 +340,7 @@ def variant_feasibility(D: DistMatrix, variant: str) -> np.ndarray:
 
     Pure quantifier evaluation over the betweenness structure, no
     characterizations involved; this is the engine behind brute_force.
+    The table is a numpy array, so this loads numpy.
     """
     _check_variant(variant)
     if D.n > _FEASIBILITY_CAP:
@@ -341,6 +350,8 @@ def variant_feasibility(D: DistMatrix, variant: str) -> np.ndarray:
 
 def popcount_table(n: int) -> np.ndarray:
     """Bit counts of 0..2**n-1."""
+    import numpy as np
+
     size = 1 << n
     out = np.zeros(size, dtype=np.int16)
     block = 1
@@ -354,8 +365,11 @@ def brute_force(G: Graph, variant: str, max_n: int = 18) -> Certificate:
     """Exhaustive oracle: try every subset, straight from the definitions.
 
     Returns the maximum cardinality subset satisfying the variant, with
-    the lexicographically least witness among ties.
+    the lexicographically least witness among ties.  The 2**n tables are
+    numpy arrays, so this loads numpy; ``solve`` does not.
     """
+    import numpy as np
+
     _check_variant(variant)
     if G.n == 0:
         raise EmptySetError("brute force needs at least one vertex")

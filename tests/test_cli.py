@@ -224,6 +224,15 @@ def test_check_json_report(capsys, suite):
     assert {"law", "instance", "passed", "expected", "actual"} <= set(sample)
 
 
+def test_check_json_reports_suite_time(capsys):
+    code, out, _ = run(capsys, "check", "--suite", "sufficient", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert isinstance(payload["elapsed_ms"], float) and payload["elapsed_ms"] >= 0
+    # the time is the suite's, not each report's
+    assert all("elapsed_ms" not in r for r in payload["reports"])
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "compute", "--invariant", "bogus", "-i", "x")[0] == 2
     assert run(capsys, "nosuchcommand")[0] == 2

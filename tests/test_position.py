@@ -265,6 +265,25 @@ def test_feasibility_table_matches_predicate(spec, spec_graph):
             assert bool(table[mask]) == is_variant_set(G, D, X, variant)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=9),
+    p=st.floats(min_value=0.2, max_value=0.9),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_feasibility_table_matches_predicate_random(n, p, seed):
+    # the "both in", "either in" and "same side" rules combine boolean
+    # arrays with plain operators; graphs with nonzero betweenness rows
+    # exercise each of them against the definition
+    G = random_connected(n, p, seed)
+    D = all_pairs_distances(G)
+    for variant in VARIANTS:
+        table = variant_feasibility(D, variant)
+        for mask in range(1 << G.n):
+            X = VertexSet.from_mask(G.n, mask)
+            assert bool(table[mask]) == is_variant_set(G, D, X, variant)
+
+
 def test_popcount_table():
     t = popcount_table(10)
     assert len(t) == 1024
