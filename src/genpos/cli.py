@@ -7,8 +7,7 @@ optional '#' comment lines, one "n m" header line, then m lines "u v"
 with 0 <= u < v < n; writers emit edges sorted lexicographically.
 
 Exit codes: 0 success, 1 law failure, 2 parse or input error,
-3 disconnected input where connectivity is required, 4 size cap hit or
-input too deep for the recursive searches.
+3 disconnected input where connectivity is required, 4 size cap hit.
 """
 
 from __future__ import annotations
@@ -264,21 +263,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INPUT
-    except DisconnectedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DISCONNECTED
-    except SizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_SIZE
-    except RecursionError:
-        print("error: input too deep for the recursive searches", file=sys.stderr)
-        return _EXIT_SIZE
     except GenposError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INPUT
+        if isinstance(exc, DisconnectedError):
+            return _EXIT_DISCONNECTED
+        return _EXIT_SIZE if isinstance(exc, SizeError) else _EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -25,12 +25,12 @@ from .metric import (
     all_pairs_distances,
     girth,
     interval_masks,
-    is_convex,
     is_p4_inner_isometric,
     simplicial_set,
 )
 from .position import (
     VARIANTS,
+    _VARIANT_RULES,
     _pair_table,
     is_variant_set,
     popcount_table,
@@ -118,7 +118,8 @@ def check_structural(G: Graph, name: str | None = None) -> list[LawReport]:
     name = name or f"graph(n={G.n},m={G.m})"
     full = (1 << n) - 1
     masks = np.arange(1 << n, dtype=np.int64)
-    fam = {v: variant_feasibility(D, v) for v in VARIANTS}
+    bet = interval_masks(D)
+    fam = {v: _pair_table(bet, _VARIANT_RULES[v]) for v in VARIANTS}
 
     simp = simplicial_set(G)
     R = strong_resolving_graph(G)
@@ -128,7 +129,7 @@ def check_structural(G: Graph, name: str | None = None) -> list[LawReport]:
         for v in range(u + 1, n):
             if not R.has_edge(u, v):
                 mmd_clique &= ~(in_u & ((masks & (1 << v)) != 0))
-    convex_complement = _pair_table(interval_masks(D), "neither in")
+    convex_complement = _pair_table(bet, "neither in")
     reports = [
         _same_family(
             "total-sets-simplicial-subsets", name, G,
@@ -151,7 +152,7 @@ def check_structural(G: Graph, name: str | None = None) -> list[LawReport]:
     for x, y in G.edges():
         pair = VertexSet(n, (x, y))
         as_dual = is_variant_set(G, D, pair, "dual")
-        complement_convex = is_convex(G, D, VertexSet.from_mask(n, full & ~pair.mask))
+        complement_convex = _is_convex_mask(bet, full & ~pair.mask)
         literal = _adjacent_pair_literal(G, D, x, y)
         if not (as_dual == complement_convex == literal):
             bad_edge = (x, y, as_dual, complement_convex, literal)

@@ -170,8 +170,8 @@ def _branch_and_bound(
     and so does the convex hull of those vertices.  With ``dual`` the
     search keeps that hull, grown by betweenness closure as vertices are
     excluded, and forbids it, so the bound counts it too.  A hull that
-    meets the chosen set ends the loop: every later sibling excludes the
-    same vertices.
+    meets the chosen set ends the frame: every later sibling excludes
+    the same vertices.
 
     A set counts only where its frame has run out of vertices uncut.
     With ``dual`` the complement is then the hull, which is convex.
@@ -185,6 +185,13 @@ def _branch_and_bound(
     bound cuts only subtrees that cannot beat the best so far, and the
     hull cut only subtrees without a dual set, so the first set counted
     is the lexicographically least optimum.
+
+    One loop on an explicit stack runs the search, so the recursion
+    limit does not bound its depth.  A frame is ``(i, xmask, forb, hull,
+    size)``: the next position in ``order``, the chosen and forbidden
+    masks, the dual hull and the number chosen; ``xs`` lists the chosen
+    vertices.  Including v pushes the running frame and appends v; when
+    the child ends, the frame is popped and excludes ``v = xs.pop()``.
     """
     n = len(order)
     suffix = [0] * (n + 1)
@@ -192,29 +199,10 @@ def _branch_and_bound(
         suffix[i] = suffix[i + 1] | (1 << order[i])
     best = floor
     best_members = ()
-
-    def grow(hull: int, v: int, xmask: int) -> int:
-        # convex hull of hull + v: hull is convex, so only pairs with a
-        # vertex new to it can add more.  It stops once it meets xmask,
-        # since the caller then returns.
-        members = list(bits(hull))
-        hull |= 1 << v
-        fresh = [v]
-        for w in fresh:
-            add = reduce(or_, map(bet[w].__getitem__, members), 0) & ~hull
-            if add:
-                hull |= add
-                if hull & xmask:
-                    return hull
-                fresh += bits(add)
-            members.append(w)
-        return hull
-
-    def rec(i: int, xmask: int, xs: list, forb: int, hull: int, size: int):
-        nonlocal best, best_members
-        while i < n:
-            if best == ceiling or size + (suffix[i] & ~forb).bit_count() <= best:
-                return
+    xs, stack = [], []
+    i = xmask = forb = hull = size = 0
+    while True:
+        if i < n and size + (suffix[i] & ~forb).bit_count() > best:
             v = order[i]
             i += 1
             bit = 1 << v
@@ -227,23 +215,43 @@ def _branch_and_bound(
                 else:
                     for u in xs:
                         grown |= hv[u] | half[u][v]
-                # the child's first bound test, made before the call
+                # the child's first bound test, made before it starts
                 if size + 1 + (suffix[i] & ~grown).bit_count() > best:
+                    stack.append((i, xmask, forb, hull, size))
                     xs.append(v)
-                    rec(i, xmask | bit, xs, grown, hull, size + 1)
-                    xs.pop()
-            # from here on v is excluded
-            if dual and not hull & bit:
-                hull = grow(hull, v, xmask)
-                if hull & xmask:
-                    return
+                    xmask |= bit
+                    forb = grown
+                    size += 1
+                    continue
+        else:
+            # the frame ends, and counts only if it ran out of vertices
+            if i == n and size > best:
+                best = size
+                best_members = tuple(xs)
+            if not stack or best == ceiling:
+                return best, best_members
+            i, xmask, forb, hull, size = stack.pop()
+            v = xs.pop()
+            bit = 1 << v
+        # from here on v is excluded
+        if dual and not hull & bit:
+            # convex hull of hull + v: only pairs with a vertex new to the
+            # convex hull can add more.  A hull meeting xmask ends the frame.
+            members = list(bits(hull))
+            hull |= bit
+            fresh = [v]
+            for w in fresh:
+                add = reduce(or_, map(bet[w].__getitem__, members), 0) & ~hull
+                if add:
+                    hull |= add
+                    if hull & xmask:
+                        break
+                    fresh += bits(add)
+                members.append(w)
+            if hull & xmask:
+                i = n + 1  # the frame ends uncounted
+            else:
                 forb |= hull
-        if size > best:
-            best = size
-            best_members = tuple(xs)
-
-    rec(0, 0, [], 0, 0, 0)
-    return best, best_members
 
 
 def solve(G: Graph, variant: str) -> Certificate:
@@ -263,7 +271,9 @@ def solve(G: Graph, variant: str) -> Certificate:
     twice: once in descending eccentricity order for the value, then in
     ascending vertex order, stopping at the first set of that value, for
     the witness.  Both cuts remove only subtrees without a better set,
-    so witnesses are lexicographically least among the optima.
+    so witnesses are lexicographically least among the optima.  Every
+    search here, the clique passes too, runs on an explicit stack, so no
+    answer depends on the recursion limit.
     """
     _check_variant(variant)
     if G.n == 0:

@@ -168,39 +168,25 @@ def test_oracle_size_cap_exits_4(tmp_path, capsys):
     assert code == 4 and "capped" in err
 
 
-def test_compute_too_deep_exits_4(tmp_path, capsys):
-    star = tmp_path / "star.txt"
-    run(capsys, "gen", "--family", "star:400", "-o", str(star))
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    # the gp search on a star recurses once per chosen leaf, past this limit
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 150)
-    try:
-        code, _, err = run(capsys, "compute", "--invariant", "gp", "-i", str(star))
-    finally:
-        sys.setrecursionlimit(limit)
-    assert code == 4
-    assert err.startswith("error: ") and "Traceback" not in err
-
-
-def test_compute_outer_on_a_large_star(tmp_path, capsys):
-    # outer does not recurse: at Python's default limit the
-    # strong resolving graph's clique is every leaf
+@pytest.mark.parametrize(
+    "invariant, method",
+    [("outer", "clique"), ("gp", "branch_and_bound"), ("dual", "branch_and_bound")],
+)
+def test_compute_on_a_large_star(tmp_path, capsys, invariant, method):
+    # no search recurses: at Python's default limit every leaf is chosen
     star = tmp_path / "star.txt"
     run(capsys, "gen", "--family", "star:1200", "-o", str(star))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        code, out, err = run(capsys, "compute", "--invariant", "outer", "-i", str(star))
+        code, out, err = run(capsys, "compute", "--invariant", invariant, "-i", str(star))
     finally:
         sys.setrecursionlimit(limit)
     assert code == 0 and err == ""
     assert out.splitlines() == [
-        "outer = 1200",
+        f"{invariant} = 1200",
         "witness = " + " ".join(map(str, range(1, 1201))),
-        "method = clique",
+        f"method = {method}",
     ]
 
 

@@ -346,6 +346,40 @@ def test_solver_oracle_agreement_random(n, seed, tree):
         )
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.integers(min_value=2, max_value=8),
+    b=st.integers(min_value=2, max_value=7),
+    seed=st.integers(min_value=0, max_value=10**6),
+    tree_a=st.booleans(),
+    tree_b=st.booleans(),
+    data=st.data(),
+)
+def test_solver_oracle_agreement_glued_at_a_cut_vertex(
+    a, b, seed, tree_a, tree_b, data
+):
+    # two connected graphs share one vertex, which is then a cut vertex;
+    # a random labelling puts it anywhere in the search orders
+    A = random_tree(a, seed) if tree_a else random_connected(a, 0.5, seed)
+    B = random_tree(b, seed + 1) if tree_b else random_connected(b, 0.5, seed + 1)
+    ga = data.draw(st.integers(0, a - 1), label="glued vertex of A")
+    gb = data.draw(st.integers(0, b - 1), label="glued vertex of B")
+    n = a + b - 1
+    label = data.draw(st.permutations(range(n)), label="labelling")
+
+    def lift(w):
+        return ga if w == gb else a + w - (w > gb)
+
+    edges = list(A.edges()) + [(lift(u), lift(v)) for u, v in B.edges()]
+    G = build_graph(n, [(label[u], label[v]) for u, v in edges])
+    for variant in ("gp", "dual"):
+        cert, oracle = solve(G, variant), brute_force(G, variant)
+        assert (cert.value, tuple(cert.witness)) == (
+            oracle.value,
+            tuple(oracle.witness),
+        )
+
+
 @pytest.mark.parametrize(
     "spec,variant,value,witness",
     [
