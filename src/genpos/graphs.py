@@ -31,7 +31,6 @@ class Graph:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         masks = [0] * n
-        count = 0
         for u, v in edges:
             if not (0 <= u < n) or not (0 <= v < n):
                 raise IndexError(f"edge ({u},{v}) out of range for n={n}")
@@ -41,9 +40,19 @@ class Graph:
                 raise DuplicateEdgeError(f"edge ({u},{v}) given twice")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-            count += 1
-        self.n = n
-        self.m = count
+        self._set_masks(masks)
+
+    @classmethod
+    def _from_masks(cls, masks) -> "Graph":
+        """Graph with these neighbour masks, taken as given: they must be
+        symmetric and have no bit v in mask v."""
+        G = cls.__new__(cls)
+        G._set_masks(masks)
+        return G
+
+    def _set_masks(self, masks) -> None:
+        self.n = len(masks)
+        self.m = sum(mk.bit_count() for mk in masks) >> 1
         self.neighbor_masks = tuple(masks)
         self.adj = tuple(tuple(bits(mk)) for mk in masks)
 

@@ -259,8 +259,8 @@ def solve(G: Graph, variant: str) -> Certificate:
 
     total uses the simplicial set directly and outer takes a maximum
     clique of the strong resolving graph; outer works on that graph's
-    neighbour masks alone, from one BFS per vertex, and builds no
-    distance table and no Graph.  gp and dual run the same
+    neighbour masks alone, from one bit-parallel BFS over the 2-core,
+    and builds no distance table and no Graph.  gp and dual run the same
     branch and bound over the betweenness conflicts.  Each chosen pair
     forbids its whole conflict link, so every vertex not forbidden is
     addable; the shadow rows behind the link are built on first use and

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import zip_longest
+from operator import and_, invert, or_
+
 from .errors import DegeneratePairError, DisconnectedError, EmptySetError
-from .graphs import Graph, bits, build_graph, is_connected
+from .graphs import Graph, bits, is_connected
 from .metric import DistMatrix
 
 
@@ -27,52 +30,100 @@ def is_mmd(G: Graph, D: DistMatrix, u: int, v: int) -> bool:
     return True
 
 
-def _maximally_distant_rows(G: Graph) -> list:
-    """Row s, as a binary string of n digits (vertex n-1 first), marks the
-    vertices u != s maximally distant from s: those with no neighbour
-    farther from s.
+def _maximally_distant_columns(G: Graph) -> list:
+    """Column u, as a mask, marks the sources s != u from which u is
+    maximally distant: those s from which no neighbour of u is farther.
 
-    One BFS per source; while it reads the neighbours of u it also notes
-    whether any of them lies one step farther out.
+    One level-synchronous BFS from all sources at once, on the 2-core, in
+    three steps.
+
+    1. Peel the pendant trees: remove degree-1 vertices until none is left.
+       A geodesic enters a pendant tree only through its root, so what
+       remains, the 2-core, keeps every distance.  A vertex of degree 1 is
+       maximally distant from every other vertex: its one neighbour lies on
+       each geodesic to it.  Every other tree vertex, and every core vertex
+       with a tree hanging from it, is a cut vertex; a cut vertex has a
+       neighbour farther from s in a component of G - c that misses s, so
+       its column is empty.
+    2. Grow balls on the core, one level per round.  With ball[u] the
+       sources within distance k of u, ball[u] & ~AND(ball[w], w in N(u))
+       holds exactly the sources at distance k from u with a neighbour of u
+       at distance k + 1, the sources u is not maximally distant from.
+       Then ball[u] |= OR(ball[w]), until every ball is the whole core.
+       Rounds start at k = 1: at k = 0 the only source in ball[u] is u,
+       which column u never holds.  Each round loops over neighbour slots,
+       not vertices: with the core sorted by degree, slot j is one ``map``
+       over the prefix of vertices with more than j neighbours.
+    3. Expand.  A core vertex u with no tree hanging from it, and each of
+       its neighbours, reach a vertex of the tree hanging at c only through
+       c, so u is maximally distant from that vertex iff it is from c.
     """
     n, adj = G.n, G.adj
-    last = n - 1
-    zeros = b"0" * n
-    rows = []
-    for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        row = bytearray(zeros)
-        queue = [s]
-        for u in queue:
-            du = dist[u]
-            far = False
-            for w in adj[u]:
-                dw = dist[w]
-                if dw < 0:
-                    dist[w] = du + 1
-                    queue.append(w)
-                    far = True
-                elif dw > du:
-                    far = True
-            if not far and du:
-                row[last - u] = 49  # ord("1")
-        rows.append(row)
-    return rows
+    full = (1 << n) - 1
+    cols = [full ^ 1 << v if len(a) == 1 else 0 for v, a in enumerate(adj)]
+    if G.m < n:  # a tree: every vertex is a leaf or a cut vertex
+        return cols
+    deg = list(map(len, adj))
+    peeled = [v for v in range(n) if deg[v] == 1]
+    root = {}
+    for v in peeled:
+        deg[v] = 0
+        for w in adj[v]:
+            if deg[w]:
+                root[v] = w
+                deg[w] -= 1
+                if deg[w] == 1:
+                    peeled.append(w)
+    hang = {}
+    for v in reversed(peeled):
+        p = root[v]
+        c = root[v] = root.get(p, p)
+        hang[c] = hang.get(c, 0) | 1 << v
+    core = sorted((v for v in range(n) if deg[v]), key=deg.__getitem__, reverse=True)
+    pos = dict(zip(core, range(len(core))))
+    nbrs = [[pos[w] for w in adj[v] if deg[w]] for v in core]
+    slots = [[w for w in slot if w is not None] for slot in zip_longest(*nbrs)]
+    inner = sum(1 << v for v in core)
+    ball = [G.neighbor_masks[v] & inner | 1 << v for v in core]
+    bad = [0] * len(core)
+    while True:
+        get = ball.__getitem__
+        low = list(map(get, slots[0]))
+        grown = list(map(or_, ball, low))
+        for slot in slots[1:]:
+            got = list(map(get, slot))
+            k = len(got)
+            low[:k] = map(and_, low, got)
+            grown[:k] = map(or_, grown, got)
+        bad = list(map(or_, bad, map(and_, ball, map(invert, low))))
+        if grown.count(inner) == len(grown):
+            break
+        ball = grown
+    attach = sum(1 << c for c in hang)
+    for v, b in zip(core, bad):
+        if v not in hang:
+            col = inner ^ b ^ 1 << v
+            for c in bits(col & attach):
+                col |= hang[c]
+            cols[v] = col
+    return cols
 
 
 def _strong_resolving_rows(G: Graph) -> list:
     """Neighbour masks of the strong resolving graph of a connected graph.
 
     u and v are adjacent iff u is maximally distant from v and v from u,
-    that is, row v of the maximally distant table ANDed with column v.
-    Read from the last row up, column v of the binary rows is the column
-    mask in binary, so ``zip`` transposes the whole table at once.
+    that is, column v of the maximally distant table ANDed with row v.
+    Read from the last column up, row v of the columns written in binary
+    is the row mask in binary, so ``zip`` transposes the whole table at
+    once.
     """
-    rows = _maximally_distant_rows(G)
-    cols = [int(bytes(col), 2) for col in zip(*reversed(rows))]
-    cols.reverse()
-    return [int(row, 2) & col for row, col in zip(rows, cols)]
+    cols = _maximally_distant_columns(G)
+    width = f"0{G.n}b"
+    digits = [format(col, width).encode() for col in reversed(cols)]
+    rows = [int(bytes(row), 2) for row in zip(*digits)]
+    rows.reverse()
+    return [col & row for col, row in zip(cols, rows)]
 
 
 def strong_resolving_graph(G: Graph) -> Graph:
@@ -80,15 +131,12 @@ def strong_resolving_graph(G: Graph) -> Graph:
     distant pairs of G.
 
     The input must be connected; the result often is not, and may have
-    isolated vertices.
+    isolated vertices.  The neighbour masks are symmetric and loop-free
+    by construction, so the Graph is built from them without per-edge
+    validation.
     """
     if G.n == 0:
         raise EmptySetError("strong resolving graph needs at least one vertex")
     if not is_connected(G):
         raise DisconnectedError("strong resolving graph needs a connected graph")
-    edges = [
-        (u, v)
-        for u, row in enumerate(_strong_resolving_rows(G))
-        for v in bits(row >> (u + 1) << (u + 1))
-    ]
-    return build_graph(G.n, edges)
+    return Graph._from_masks(_strong_resolving_rows(G))

@@ -12,10 +12,11 @@ from genpos import (
     is_mmd,
     product,
     random_connected,
+    random_tree,
     strong_resolving_graph,
 )
 from genpos.errors import DegeneratePairError, DisconnectedError, EmptySetError
-from genpos.srg import _maximally_distant_rows, _strong_resolving_rows
+from genpos.srg import _maximally_distant_columns, _strong_resolving_rows
 
 
 def _family(text):
@@ -70,9 +71,26 @@ def _rows_match_is_mmd(G):
                 assert bool(rows[u] >> v & 1) == is_mmd(G, D, u, v), (u, v)
 
 
-@pytest.mark.parametrize("spec", _METRIC_SPECS)
+# one-vertex cores, and cycles sharing cut vertices with a pendant vertex
+@pytest.mark.parametrize(
+    "spec", _METRIC_SPECS + ["complete:1", "path:2", "path:3", "chain_cycles:3,5"]
+)
 def test_srg_rows_match_is_mmd(spec, spec_graph):
     _rows_match_is_mmd(spec_graph(spec))
+
+
+@pytest.mark.parametrize(
+    "n,edges",
+    [
+        # a 5-cycle with a path of three vertices hanging at vertex 0
+        (8, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (5, 6), (6, 7)]),
+        # two triangles sharing vertex 0: a cut vertex of the core itself
+        (5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]),
+    ],
+    ids=["cycle-with-pendant-path", "two-triangles"],
+)
+def test_srg_rows_match_is_mmd_with_cut_vertices(n, edges):
+    _rows_match_is_mmd(build_graph(n, edges))
 
 
 @settings(max_examples=60, deadline=None)
@@ -85,11 +103,28 @@ def test_srg_rows_match_is_mmd_random(n, p, seed):
     _rows_match_is_mmd(random_connected(n, p, seed))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=16),
+    seed=st.integers(min_value=0, max_value=10**6),
+    data=st.data(),
+)
+def test_srg_rows_match_is_mmd_tree_plus_chords(n, seed, data):
+    # a random tree carries pendant trees of every depth; chords make a core
+    tree = random_tree(n, seed)
+    absent = [
+        (u, v) for u in range(n) for v in range(u + 1, n) if not tree.has_edge(u, v)
+    ]
+    some = st.lists(st.sampled_from(absent), max_size=n, unique=True)
+    chords = data.draw(some if absent else st.just([]))
+    _rows_match_is_mmd(build_graph(n, list(tree.edges()) + chords))
+
+
 def test_maximally_distant_rows_need_the_transpose():
-    # every leaf of a star is maximally distant from the centre, but the
-    # centre, whose other leaves lie farther out, is so from no leaf
-    rows = [int(r, 2) for r in _maximally_distant_rows(_family("star:3"))]
-    assert rows == [0b1110, 0b1100, 0b1010, 0b0110]
+    # each leaf of a star is maximally distant from every other vertex, but
+    # the centre, whose other leaves lie farther out, is so from none
+    cols = _maximally_distant_columns(_family("star:3"))
+    assert cols == [0, 0b1101, 0b1011, 0b0111]
     # so the centre is isolated in the strong resolving graph
     assert _strong_resolving_rows(_family("star:3")) == [0, 0b1100, 0b1010, 0b0110]
 
