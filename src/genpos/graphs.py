@@ -1,4 +1,6 @@
-"""Immutable simple graphs, vertex subsets, and exact maximum clique search.
+"""Immutable simple graphs, vertex subsets, cut vertices, exact maximum
+clique search, and the prefix decisions behind lexicographically least
+witnesses.
 
 Vertices are always 0..n-1.  Graphs and vertex sets are value objects:
 equality and hashing work, and nothing mutates after construction.
@@ -176,23 +178,133 @@ def is_connected(G: Graph) -> bool:
     return seen == (1 << G.n) - 1
 
 
+def cut_components(G: Graph) -> dict:
+    """The cut vertices of G, each mapped to the components of G - c.
+
+    A cut vertex is one whose removal leaves its connected component in
+    more than one piece.  Each value is a tuple of vertex masks, one per
+    component of G - c inside the component of c.  One depth-first pass
+    (Hopcroft and Tarjan, CACM 1973) on an explicit stack finds them: a
+    child w of c in the DFS tree splits off with its whole subtree when
+    no back edge from that subtree reaches above c, that is, when
+    ``low[w] >= disc[c]``.  The subtrees that do not split off stay with
+    the rest of the component.  A root is a cut vertex when it has two
+    or more children.
+    """
+    n, adj = G.n, G.adj
+    disc = [-1] * n
+    low = [0] * n
+    sub = [0] * n  # DFS subtree of each vertex, as a mask
+    out = {}
+    t = 0
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = t
+        t += 1
+        sub[root] = 1 << root
+        splits = {}
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, parent, it = stack[-1]
+            for w in it:
+                if disc[w] < 0:
+                    disc[w] = low[w] = t
+                    t += 1
+                    sub[w] = 1 << w
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if w != parent and disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    sub[p] |= sub[v]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    if low[v] >= disc[p]:
+                        splits.setdefault(p, []).append(sub[v])
+        for c, parts in splits.items():
+            if c != root:
+                rest = sub[root] & ~(1 << c)
+                for part in parts:
+                    rest &= ~part
+                out[c] = (*parts, rest)
+            elif len(parts) > 1:
+                out[c] = tuple(parts)
+    return out
+
+
+def _lex_least(n: int, k: int, first: int, decide) -> tuple:
+    """Lexicographically least optimum of size k, by prefix decisions.
+
+    Among sets of one size, the least sorted tuple is the one that takes
+    the lowest vertex where they differ.  So the vertices are decided in
+    ascending order: v is pinned if some optimum holds every pin, v and
+    no rejected vertex, else it is rejected.  ``decide(v, pins,
+    rejected)`` answers with the mask of such an optimum, or 0 if there
+    is none; ``pins`` is the ascending list of pinned vertices.
+
+    ``first`` is the mask of one optimum.  The last optimum found holds
+    every pin and no rejected vertex, so its own members are pinned
+    without asking.
+    """
+    pins = []
+    rejected = 0
+    held = first
+    for v in range(n):
+        if len(pins) == k:
+            break
+        if not held >> v & 1:
+            found = decide(v, pins, rejected)
+            if not found:
+                rejected |= 1 << v
+                continue
+            held = found
+        pins.append(v)
+    return tuple(pins)
+
+
 def maximum_clique(G: Graph):
     """Exact maximum clique: (size, lexicographically least witness tuple).
 
     Size comes from a branch and bound bounded by greedy sequential
-    colouring (Tomita and Seki's MCQ).  The witness is then recovered by
-    a separate include-first search in ascending vertex order for the
-    first clique of that size, so ties always resolve to the least vertex
-    tuple.  Both passes keep explicit stacks, so no input depends on the
-    recursion limit.
+    colouring (Tomita and Seki's MCQ).  The witness then comes from
+    prefix decisions in ascending vertex order: v is pinned if the later
+    common neighbours of the pins and v, less the rejected vertices,
+    still hold a clique that completes the size, which the same
+    colour-bounded search decides.  So ties always resolve to the least
+    vertex tuple.  Every search keeps an explicit stack, so no input
+    depends on the recursion limit.
     """
     return _maximum_clique(G.neighbor_masks)
 
 
 def _maximum_clique(nbr):
     """maximum_clique on the neighbour masks of a graph on 0..len(nbr)-1."""
-    size = _clique_size(nbr)
-    return size, _first_clique(nbr, size)
+    n = len(nbr)
+    size, first = _clique_search(nbr, (1 << n) - 1, 0, n)
+    # pins counted so far, their mask and their common neighbours
+    pinned = [0, 0, (1 << n) - 1]
+
+    def decide(v, pins, rejected):
+        count, held, common = pinned
+        for p in pins[count:]:
+            held |= 1 << p
+            common &= nbr[p]
+        pinned[:] = len(pins), held, common
+        if not common >> v & 1:
+            return 0
+        need = size - len(pins) - 1
+        if not need:
+            return held | 1 << v
+        # every vertex below v is a pin or rejected, so Q lies after v
+        Q = common & nbr[v] & ~rejected
+        _, found = _clique_search(nbr, Q, need - 1, need)
+        return found and held | 1 << v | found
+
+    return size, _lex_least(n, size, first, decide)
 
 
 def _colour_classes(nbr, P: int):
@@ -216,74 +328,51 @@ def _colour_classes(nbr, P: int):
     return verts, cols
 
 
-def _clique_size(nbr) -> int:
-    """Clique number by colour-bounded branch and bound on a stack.
+def _clique_search(nbr, P: int, floor: int, ceiling: int):
+    """Largest clique inside the vertex mask P, by colour-bounded branch
+    and bound on a stack.
 
-    A frame holds the clique size so far, its candidates P in colour
-    order and the index of the next candidate, taken from the highest
-    colour down.  Candidate i, together with everything before it, needs
-    at most its colour in further vertices, so the first candidate whose
-    colour cannot beat the best ends the frame.  A candidate set whose
-    colouring uses one colour per vertex is itself a clique and is taken
-    whole, without a child frame.
+    A frame holds the clique chosen so far (its size and mask), its
+    candidates in colour order and the index of the next candidate,
+    taken from the highest colour down.  Candidate i, together with
+    everything before it, needs at most its colour in further vertices,
+    so the first candidate whose colour cannot beat the best ends the
+    frame.  A candidate set whose colouring uses one colour per vertex
+    is itself a clique and is taken whole, without a child frame.
+
+    Returns ``(size, mask)`` of the largest clique larger than
+    ``floor``, or ``(floor, 0)``; the search stops once a clique reaches
+    ``ceiling``.
     """
-    n = len(nbr)
-    P = (1 << n) - 1
     verts, cols = _colour_classes(nbr, P)
-    if not verts or cols[-1] == n:
-        return n
-    best = size = 0
-    i = n
+    if cols and cols[-1] == len(verts):
+        return (len(verts), P) if len(verts) > floor else (floor, 0)
+    best, found = floor, 0
+    size = chosen = 0
+    i = len(verts)
     stack = []
     while True:
         if i and size + cols[i - 1] > best:
             i -= 1
             v = verts[i]
-            P ^= 1 << v
+            bit = 1 << v
+            P ^= bit
             Q = P & nbr[v]
-            if not Q:
-                best = max(best, size + 1)
-                continue
-            qverts, qcols = _colour_classes(nbr, Q)
-            if qcols[-1] == len(qverts):
-                best = max(best, size + 1 + len(qverts))
-                continue
-            stack.append((size, verts, cols, P, i))
-            size, verts, cols, P, i = size + 1, qverts, qcols, Q, len(qverts)
+            if Q:
+                qverts, qcols = _colour_classes(nbr, Q)
+                if qcols[-1] != len(qverts):
+                    stack.append((size, chosen, verts, cols, P, i))
+                    size, chosen = size + 1, chosen | bit
+                    verts, cols, P, i = qverts, qcols, Q, len(qverts)
+                    continue
+            if size + 1 + Q.bit_count() > best:
+                best, found = size + 1 + Q.bit_count(), chosen | bit | Q
+                if best >= ceiling:
+                    return best, found
         elif stack:
-            size, verts, cols, P, i = stack.pop()
+            size, chosen, verts, cols, P, i = stack.pop()
         else:
-            return best
-
-
-def _first_clique(nbr, k: int):
-    """First k-clique in lexicographic order of sorted vertex tuples.
-
-    Include-first search in ascending vertex order on a stack of
-    candidate masks.  A vertex is taken only if enough of its later
-    neighbours remain to complete the clique.
-    """
-    if k == 0:
-        return ()
-    chosen, stack = [], []
-    cand, need = (1 << len(nbr)) - 1, k
-    while True:
-        if cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            rest = cand & nbr[v]
-            if rest.bit_count() >= need - 1:
-                chosen.append(v)
-                if need == 1:
-                    return tuple(chosen)
-                stack.append(cand)
-                cand, need = rest, need - 1
-        else:
-            assert stack, "witness search must succeed at the clique size"
-            chosen.pop()
-            cand = stack.pop()
-            need += 1
+            return best, found
 
 
 def clique_number(G: Graph) -> int:

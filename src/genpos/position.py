@@ -29,7 +29,15 @@ from operator import or_
 from typing import TYPE_CHECKING
 
 from .errors import DegeneratePairError, DisconnectedError, EmptySetError, SizeError
-from .graphs import Graph, VertexSet, _maximum_clique, bits, is_connected
+from .graphs import (
+    Graph,
+    VertexSet,
+    _lex_least,
+    _maximum_clique,
+    bits,
+    cut_components,
+    is_connected,
+)
 from .metric import DistMatrix, all_pairs_distances, interval_masks, simplicial_set
 from .srg import _strong_resolving_rows
 
@@ -85,25 +93,45 @@ def is_variant_set(G: Graph, D: DistMatrix, X: VertexSet, variant: str) -> bool:
     X may be empty; every variant holds vacuously then (for dual the
     complement pairs still get checked, and pass because X blocks
     nothing).
+
+    For each vertex u, the pairs (u, v) that some member of X other than
+    u blocks are the union of the shadow rows ``_shadow_row(G, D, u)[x]``
+    over x in X less u.  Each variant names the partners v that u must
+    keep unblocked, so one row per vertex decides all of its pairs.
     """
     _check_variant(variant)
     if X.n != G.n or D.n != G.n:
         raise ValueError("vertex set or distance matrix does not match the graph")
-    n = G.n
+    n, nbr, d = G.n, G.neighbor_masks, D.d
+    x = X.mask
+    full = (1 << n) - 1
     for u in range(n):
-        in_u = u in X
-        for v in range(u + 1, n):
-            in_v = v in X
-            if variant == "gp":
-                relevant = in_u and in_v
-            elif variant == "total":
-                relevant = True
-            elif variant == "outer":
-                relevant = in_u or in_v
-            else:
-                relevant = in_u == in_v
-            if relevant and not is_positionable(D, X, u, v):
-                return False
+        bit = 1 << u
+        inside = x & bit
+        if variant == "gp":
+            partners = x if inside else 0
+        elif variant == "total":
+            partners = full
+        elif variant == "outer":
+            partners = full if inside else x
+        else:
+            partners = x if inside else full & ~x
+        # each pair once, from its lower end; an edge has nothing between
+        partners &= ~((bit << 1) - 1) & ~nbr[u]
+        others = x & ~bit
+        if not (partners and others):
+            continue
+        if partners.bit_count() * others.bit_count() <= n:
+            # few pairs: test them on the distances, as the definition does
+            du = d[u]
+            for v in bits(partners):
+                for y in bits(others & ~(1 << v)):
+                    if du[y] + d[y][v] == du[v]:
+                        return False
+            continue
+        row = _shadow_row(G, D, u)
+        if reduce(or_, map(row.__getitem__, bits(others)), 0) & partners:
+            return False
     return True
 
 
@@ -147,7 +175,15 @@ class _HalfLinks(dict):
 
 
 def _branch_and_bound(
-    bet, half, simplicial: int, order, dual: bool, floor: int, ceiling: int
+    bet,
+    half,
+    simplicial: int,
+    order,
+    dual: bool,
+    floor: int,
+    ceiling: int,
+    pins=(),
+    forb: int = 0,
 ):
     """Include-first branch and bound over the downward-closed gp sets.
 
@@ -184,7 +220,17 @@ def _branch_and_bound(
     they finish in include-first, that is lexicographic, order.  The
     bound cuts only subtrees that cannot beat the best so far, and the
     hull cut only subtrees without a dual set, so the first set counted
-    is the lexicographically least optimum.
+    is the lexicographically least optimum.  The dual witness comes
+    from that pass.
+
+    The search may start from a state instead of the empty set:
+    ``pins`` are chosen from the start and ``forb`` is forbidden from
+    the start; ``forb`` must hold the conflict links of every pair of
+    pins.  A gp run may leave the decided vertices out of ``order``, but
+    with ``dual`` it lists every vertex, so that each vertex outside the
+    set joins the hull.  Both variants start with the cut vertices
+    forbidden, and each prefix decision of the gp witness starts from
+    its pins (see ``_gp`` and ``_dual``).
 
     One loop on an explicit stack runs the search, so the recursion
     limit does not bound its depth.  A frame is ``(i, xmask, forb, hull,
@@ -199,8 +245,10 @@ def _branch_and_bound(
         suffix[i] = suffix[i + 1] | (1 << order[i])
     best = floor
     best_members = ()
-    xs, stack = [], []
-    i = xmask = forb = hull = size = 0
+    xs, stack = list(pins), []
+    xmask = sum(1 << p for p in pins)
+    size = len(xs)
+    i = hull = 0
     while True:
         if i < n and size + (suffix[i] & ~forb).bit_count() > best:
             v = order[i]
@@ -264,16 +312,24 @@ def solve(G: Graph, variant: str) -> Certificate:
     branch and bound over the betweenness conflicts.  Each chosen pair
     forbids its whole conflict link, so every vertex not forbidden is
     addable; the shadow rows behind the link are built on first use and
-    shared by both runs, and pairs of simplicial vertices need none.
-    For dual the search also forbids the convex hull of the vertices it
-    has excluded, which no dual set below that point can meet, and a set
-    counts once that hull is its whole complement.  That search runs
-    twice: once in descending eccentricity order for the value, then in
-    ascending vertex order, stopping at the first set of that value, for
-    the witness.  Both cuts remove only subtrees without a better set,
-    so witnesses are lexicographically least among the optima.  Every
-    search here, the clique passes too, runs on an explicit stack, so no
-    answer depends on the recursion limit.
+    shared by every run, and pairs of simplicial vertices need none.
+    Both start with the cut vertices forbidden, found by one
+    Hopcroft-Tarjan pass.  For gp that is the exchange lemma (``_gp``):
+    some optimum holds no cut vertex.  Its lexicographically least
+    witness comes from prefix decisions in ascending vertex order, each
+    a run of the same search from the vertices pinned so far; a
+    successful run returns a whole optimum, whose later members are
+    pinned without a search.  For dual a set holding a cut vertex has a
+    fixed shape that is checked apart (``_dual``).  The dual search also
+    forbids the convex hull of the vertices it has excluded, which no
+    dual set below that point can meet, and a set counts once that hull
+    is its whole complement.  It runs twice: once in descending
+    eccentricity order for the value, then in ascending vertex order,
+    stopping at the first set of that value, for the witness.  Every
+    cut removes only subtrees without a better set, so witnesses are
+    lexicographically least among the optima.  Every search here, the
+    clique searches too, runs on an explicit stack, so no answer depends
+    on the recursion limit.
     """
     _check_variant(variant)
     if G.n == 0:
@@ -290,15 +346,132 @@ def solve(G: Graph, variant: str) -> Certificate:
     D = all_pairs_distances(G)
     bet = interval_masks(D)
     half = _HalfLinks(G, D, bet)
-    dual = variant == "dual"
     ecc = [max(row) for row in D.d]
     order = sorted(range(n), key=lambda v: (-ecc[v], v))
-    value, witness = _branch_and_bound(bet, half, simp.mask, order, dual, 0, n)
-    if value:
-        _, witness = _branch_and_bound(
-            bet, half, simp.mask, range(n), dual, value - 1, value
-        )
+    search = _gp if variant == "gp" else _dual
+    value, witness = search(G, bet, half, simp.mask, order)
     return Certificate(variant, value, VertexSet(n, witness), "branch_and_bound")
+
+
+def _gp(G: Graph, bet, half, simplicial: int, order):
+    """gp value and lexicographically least witness.
+
+    Exchange lemma: a gp set S holding a cut vertex c meets only one
+    component of G - c, since c lies on every path between two of them.
+    Swapping c for a vertex w of another component keeps S a gp set:
+    each geodesic from S - c to w passes through c, so a member of S
+    inside it would already lie between its end and c.  Every component
+    holds a vertex that is not a cut vertex, so the value pass forbids
+    every cut vertex from the start.  The witness comes from prefix
+    decisions (``graphs._lex_least``), each a pinned run of the same
+    search (``_gp_decisions``).
+    """
+    n = len(order)
+    parts = cut_components(G)
+    cuts = sum(1 << c for c in parts)
+    value, first = _branch_and_bound(
+        bet, half, simplicial, order, False, 0, n, forb=cuts
+    )
+    decide = _gp_decisions(bet, half, simplicial, order, parts, value)
+    return value, _lex_least(n, value, sum(1 << u for u in first), decide)
+
+
+def _gp_decisions(bet, half, simplicial: int, order, parts: dict, value: int):
+    """The decision of ``_lex_least`` for gp: ``decide(v, pins,
+    rejected)`` returns the mask of a gp set of size ``value`` that holds
+    the pins and v and no rejected vertex, or 0.  ``parts`` maps each cut
+    vertex to the components of G - c, and ``pins`` must be a gp set.
+
+    Each call is a run of the value search started from the pins and v.
+    It may still forbid a cut vertex c outside them when two or more
+    components of G - c hold a non-cut vertex outside the rejected set:
+    one of them misses the set, and the exchange lemma of ``_gp`` swaps
+    c for that vertex.  The conflict links of the pins grow with the
+    pins, as the list is only ever extended.
+    """
+    cuts = sum(1 << c for c in parts)
+
+    def link(u, v):
+        # half[a][b] is bet[a][b] for a simplicial b, with no row built
+        uv = bet[u][v] if simplicial >> v & 1 else half[u][v]
+        vu = bet[v][u] if simplicial >> u & 1 else half[v][u]
+        return uv | vu
+
+    linked = [0, 0, 0]  # pins linked so far, their mask, their links
+    ruled = {}  # rejected non-cut vertices -> cut vertices a swap frees
+
+    def decide(v, pins, rejected):
+        count, held, forb = linked
+        for p in pins[count:]:
+            for u in bits(held):
+                forb |= link(u, p)
+            held |= 1 << p
+        linked[:] = len(pins), held, forb
+        if forb >> v & 1:
+            return 0
+        for u in pins:
+            forb |= link(u, v)
+        held |= 1 << v
+        gone = rejected & ~cuts
+        if gone not in ruled:
+            free = ~cuts & ~gone
+            ruled[gone] = sum(
+                1 << c
+                for c, comps in parts.items()
+                if sum(1 for comp in comps if comp & free) > 1
+            )
+        forb |= rejected | ruled[gone] & ~held
+        rest = [u for u in order if not (forb | held) >> u & 1]
+        size, members = _branch_and_bound(
+            bet, half, simplicial, rest, False, value - 1, value, pins + [v], forb
+        )
+        return sum(1 << u for u in members) if size == value else 0
+
+    return decide
+
+
+def _dual(G: Graph, bet, half, simplicial: int, order):
+    """dual value and lexicographically least witness.
+
+    A dual set S holding a cut vertex c meets one component C of G - c
+    besides c, as a gp set does, and its complement holds every other
+    component.  Two of those would have c between them, and so would one
+    of them and a vertex of C outside S.  So G - c has exactly two
+    components and S is C + c, a set whose geodesics stay inside it, so
+    a gp set only if it is a clique.  Its complement, the other
+    component, is convex iff c lies between no two of its neighbours
+    there, that is, iff they form a clique.  So both passes run with
+    every cut vertex forbidden, and the sets C + c are weighed apart.
+    The exchange lemma of ``_gp`` does not hold for dual: the swap can
+    break the convexity of the complement.
+    """
+    n = len(order)
+    nbr = G.neighbor_masks
+    parts = cut_components(G)
+    cuts = sum(1 << c for c in parts)
+
+    def clique(mask):
+        return all(not mask & ~nbr[v] & ~(1 << v) for v in bits(mask))
+
+    apart = [
+        comp | 1 << c
+        for c, comps in parts.items()
+        if len(comps) == 2
+        for comp, other in (comps, comps[::-1])
+        if clique(comp | 1 << c) and clique(nbr[c] & other)
+    ]
+    value, witness = _branch_and_bound(
+        bet, half, simplicial, order, True, 0, n, forb=cuts
+    )
+    top = max([value, *map(int.bit_count, apart)])
+    candidates = [tuple(bits(S)) for S in apart if S.bit_count() == top]
+    if value == top:
+        if value:
+            _, witness = _branch_and_bound(
+                bet, half, simplicial, range(n), True, value - 1, value, forb=cuts
+            )
+        candidates.append(tuple(sorted(witness)))
+    return top, min(candidates)
 
 
 # Which pairs u, v of the graph a subset X must keep free of its own

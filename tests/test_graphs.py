@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,10 @@ from genpos import (
     induced_subgraph,
     is_connected,
     maximum_clique,
+    random_tree,
 )
 from genpos.errors import DuplicateEdgeError, EmptySetError, LoopError
+from genpos.graphs import bits, cut_components
 
 
 def test_construction_and_adjacency():
@@ -177,3 +180,76 @@ def _complete_on(n, members):
 )
 def test_maximum_clique_pinned(G, expected):
     assert maximum_clique(G) == expected
+
+
+# ------------------------------------------------------------ cut vertices
+
+
+def _components_without(G, v):
+    """The components of G - v as vertex masks, by BFS on the masks."""
+    left = ((1 << G.n) - 1) & ~(1 << v)
+    comps = set()
+    while left:
+        seen = frontier = left & -left
+        while frontier:
+            reach = 0
+            for w in bits(frontier):
+                reach |= G.neighbor_masks[w]
+            frontier = reach & left & ~seen
+            seen |= frontier
+        comps.add(seen)
+        left &= ~seen
+    return comps
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=14),
+    extra=st.floats(min_value=0.0, max_value=0.6),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_cut_vertices_against_deletion(n, extra, seed):
+    # a random tree plus random chords: every block structure from a
+    # tree (all inner vertices cut) to 2-connected (none)
+    rng = random.Random(seed)
+    edges = set(random_tree(n, seed).edges())
+    edges |= {e for e in itertools.combinations(range(n), 2) if rng.random() < extra}
+    G = build_graph(n, sorted(edges))
+    expected = {
+        v
+        for v in range(n)
+        if n > 1
+        and not is_connected(
+            induced_subgraph(G, VertexSet(n, [w for w in range(n) if w != v]))[0]
+        )
+    }
+    parts = cut_components(G)
+    assert set(parts) == expected
+    for c, comps in parts.items():
+        assert len(set(comps)) == len(comps)
+        assert set(comps) == _components_without(G, c)
+
+
+@pytest.fixture
+def default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_cut_vertices_of_a_long_path(default_recursion_limit):
+    n = 3000
+    parts = cut_components(build_graph(n, [(v, v + 1) for v in range(n - 1)]))
+    assert set(parts) == set(range(1, n - 1))
+    for c, comps in parts.items():
+        assert set(comps) == {(1 << c) - 1, ((1 << n) - 1) & ~((2 << c) - 1)}
+
+
+def test_cut_vertices_of_a_large_star(default_recursion_limit):
+    n = 1200
+    parts = cut_components(build_graph(n + 1, [(0, v) for v in range(1, n + 1)]))
+    assert list(parts) == [0]
+    assert sorted(parts[0]) == [1 << v for v in range(1, n + 1)]

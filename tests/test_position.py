@@ -14,6 +14,7 @@ from genpos import (
     brute_force,
     build_graph,
     generate,
+    interval_masks,
     is_convex,
     is_positionable,
     is_variant_set,
@@ -29,7 +30,8 @@ from genpos.errors import (
     EmptySetError,
     SizeError,
 )
-from genpos.position import popcount_table
+from genpos.graphs import cut_components
+from genpos.position import _gp_decisions, _HalfLinks, popcount_table
 
 
 def _family(text):
@@ -346,18 +348,7 @@ def test_solver_oracle_agreement_random(n, seed, tree):
         )
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    a=st.integers(min_value=2, max_value=8),
-    b=st.integers(min_value=2, max_value=7),
-    seed=st.integers(min_value=0, max_value=10**6),
-    tree_a=st.booleans(),
-    tree_b=st.booleans(),
-    data=st.data(),
-)
-def test_solver_oracle_agreement_glued_at_a_cut_vertex(
-    a, b, seed, tree_a, tree_b, data
-):
+def _glued(a, b, seed, tree_a, tree_b, data):
     # two connected graphs share one vertex, which is then a cut vertex;
     # a random labelling puts it anywhere in the search orders
     A = random_tree(a, seed) if tree_a else random_connected(a, 0.5, seed)
@@ -371,13 +362,109 @@ def test_solver_oracle_agreement_glued_at_a_cut_vertex(
         return ga if w == gb else a + w - (w > gb)
 
     edges = list(A.edges()) + [(lift(u), lift(v)) for u, v in B.edges()]
-    G = build_graph(n, [(label[u], label[v]) for u, v in edges])
+    return build_graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+_GLUED = dict(
+    a=st.integers(min_value=2, max_value=8),
+    b=st.integers(min_value=2, max_value=7),
+    seed=st.integers(min_value=0, max_value=10**6),
+    tree_a=st.booleans(),
+    tree_b=st.booleans(),
+    data=st.data(),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_GLUED)
+def test_solver_oracle_agreement_glued_at_a_cut_vertex(
+    a, b, seed, tree_a, tree_b, data
+):
+    G = _glued(a, b, seed, tree_a, tree_b, data)
     for variant in ("gp", "dual"):
         cert, oracle = solve(G, variant), brute_force(G, variant)
         assert (cert.value, tuple(cert.witness)) == (
             oracle.value,
             tuple(oracle.witness),
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_GLUED)
+def test_gp_decisions_with_pins_against_the_oracle_table(
+    a, b, seed, tree_a, tree_b, data
+):
+    # one prefix decision of the gp witness, from drawn pins (a subset of
+    # a drawn gp set), a drawn vertex v and a drawn rejected set: its
+    # run forbids the cut vertices that the exchange lemma frees, and
+    # must still find a gp set of the value exactly when one exists
+    G = _glued(a, b, seed, tree_a, tree_b, data)
+    n = G.n
+    D = all_pairs_distances(G)
+    bet = interval_masks(D)
+    table = variant_feasibility(D, "gp")
+    pops = popcount_table(n)
+    value = int(pops[table].max())
+    masks = np.arange(1 << n, dtype=np.int64)
+    gp_sets = np.flatnonzero(table)
+    for _ in range(4):
+        base = int(gp_sets[data.draw(st.integers(0, len(gp_sets) - 1))])
+        pins = [u for u in range(n) if base >> u & 1 and data.draw(st.booleans())]
+        rest = [u for u in range(n) if u not in pins]
+        if not rest or len(pins) >= value:
+            continue
+        v = data.draw(st.sampled_from(rest), label="v")
+        rejected = sum(1 << u for u in rest if u != v and data.draw(st.booleans()))
+        need = sum(1 << u for u in pins) | 1 << v
+        want = table & (pops == value) & ((masks & need) == need)
+        want &= (masks & rejected) == 0
+        decide = _gp_decisions(
+            bet,
+            _HalfLinks(G, D, bet),
+            simplicial_set(G).mask,
+            list(range(n)),
+            cut_components(G),
+            value,
+        )
+        found = decide(v, pins, rejected)
+        assert bool(found) == bool(want.any()), (pins, v, rejected)
+        if found:
+            assert table[found] and found.bit_count() == value
+            assert found & need == need and not found & rejected
+
+
+@pytest.mark.parametrize(
+    "spec,leaves",
+    [("random_tree:100,1", 35), ("random_tree:150,3", 60), ("random_tree:200,2", 73)],
+)
+def test_large_trees_give_the_leaf_count_for_every_variant(spec, leaves, spec_graph):
+    # on a tree all four values are the leaf count; gp used to run past
+    # ten seconds on the first of these
+    G = spec_graph(spec)
+    assert sum(G.degree(v) == 1 for v in range(G.n)) == leaves
+    certs = {variant: solve(G, variant) for variant in VARIANTS}
+    assert {k: c.value for k, c in certs.items()} == dict.fromkeys(VARIANTS, leaves)
+    assert is_variant_set(G, all_pairs_distances(G), certs["gp"].witness, "gp")
+
+
+@pytest.mark.parametrize(
+    "spec,witness",
+    [
+        (
+            "random_connected:80,0.3,1",
+            (7, 10, 13, 14, 17, 23, 37, 38, 47, 50, 51, 54, 65, 71, 79),
+        ),
+        (
+            "random_connected:80,0.3,2",
+            (21, 27, 33, 43, 44, 46, 52, 59, 60, 66, 68, 73, 77),
+        ),
+    ],
+)
+def test_outer_on_dense_strong_resolving_graphs(spec, witness, spec_graph):
+    # the clique witness by prefix decisions, pinned to the answers of
+    # the include-first witness search it replaced
+    cert = solve(spec_graph(spec), "outer")
+    assert (cert.value, tuple(cert.witness)) == (len(witness), witness)
 
 
 @pytest.mark.parametrize(
@@ -412,8 +499,7 @@ def test_easy_large_instances(spec, variant, value, witness, spec_graph):
 )
 def test_easy_large_outer_instances(spec, value, witness, spec_graph):
     # outer on a tree is its set of leaves, the mutually maximally
-    # distant clique; compared to the leaves directly, since checking a
-    # set of hundreds with is_variant_set takes seconds
+    # distant clique, so the witness is compared to the leaves directly
     G = spec_graph(spec)
     leaves = tuple(v for v in range(G.n) if G.degree(v) == 1)
     cert = solve(G, "outer")
