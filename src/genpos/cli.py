@@ -7,7 +7,8 @@ optional '#' comment lines, one "n m" header line, then m lines "u v"
 with 0 <= u < v < n; writers emit edges sorted lexicographically.
 
 Exit codes: 0 success, 1 law failure, 2 parse or input error,
-3 disconnected input where connectivity is required, 4 size cap hit.
+3 disconnected input where connectivity is required, 4 size cap hit,
+141 (128 + SIGPIPE) standard output closed by its reader.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -34,6 +36,7 @@ _EXIT_LAW_FAILURE = 1
 _EXIT_INPUT = 2
 _EXIT_DISCONNECTED = 3
 _EXIT_SIZE = 4
+_EXIT_BROKEN_PIPE = 141
 
 # display order of the variants for --invariant all
 _ALL_ORDER = ("gp", "outer", "total", "dual")
@@ -262,12 +265,22 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad usage, 0 on --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that left shows here, not in the flush at exit
+        sys.stdout.flush()
+        return code
     except GenposError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, DisconnectedError):
             return _EXIT_DISCONNECTED
         return _EXIT_SIZE if isinstance(exc, SizeError) else _EXIT_INPUT
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the flush at exit
+        # raises no second error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

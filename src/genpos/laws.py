@@ -5,8 +5,9 @@ LawReport.  Structural laws compare whole set families exhaustively on
 small graphs; sufficient-condition and family laws compare solver output
 against closed-form expectations; product laws exercise the cartesian
 product identities.  Failing reports carry a replayable payload (vertex
-count, edge list, offending sets).  numpy is imported inside the
-checks that build tables over all subsets, not with this module.
+count, edge list, offending sets).  A family of subsets is a table
+over all 2**n subset masks, one Python int with bit X set iff the subset
+with bitmask X is in the family, so the laws never load numpy.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ from .metric import (
 from .position import (
     VARIANTS,
     _VARIANT_RULES,
+    _largest,
+    _levels,
+    _membership,
     _pair_table,
     is_variant_set,
-    popcount_table,
     solve,
-    variant_feasibility,
 )
 from .srg import strong_resolving_graph
 
@@ -78,15 +80,14 @@ def _report(law, instance, ok, expected, actual, G: Graph, **sets) -> LawReport:
     )
 
 
-def _same_family(law, instance, G, expected, lhs, rhs, where=True, **sets):
-    """Compare two boolean tables over all subset masks of G, restricted
-    to ``where``; on failure the payload names the first differing mask."""
-    import numpy as np
-
-    differ = np.flatnonzero((lhs != rhs) & where)
-    ok = differ.size == 0
+def _same_family(law, instance, G, expected, lhs, rhs, where=-1, **sets):
+    """Compare two tables over all subset masks of G, restricted to the
+    table ``where`` (-1 allows every mask); on failure the payload names
+    the first differing mask."""
+    differ = (lhs ^ rhs) & where
+    ok = not differ
     actual = "families equal" if ok else "families differ"
-    bad = 0 if ok else int(differ[0])
+    bad = (differ & -differ).bit_length() - 1 if differ else 0
     return _report(
         law, instance, ok, expected, actual, G, offending_set=bits(bad), **sets
     )
@@ -111,35 +112,34 @@ def check_structural(G: Graph, name: str | None = None) -> list[LawReport]:
     """
     if G.n > 12:
         raise SizeError(f"structural checks capped at n <= 12, got {G.n}")
-    import numpy as np
-
     D = all_pairs_distances(G)
     n = G.n
     name = name or f"graph(n={G.n},m={G.m})"
     full = (1 << n) - 1
-    masks = np.arange(1 << n, dtype=np.int64)
+    every = (1 << (1 << n)) - 1
+    member = _membership(n)
     bet = interval_masks(D)
-    fam = {v: _pair_table(bet, _VARIANT_RULES[v]) for v in VARIANTS}
+    fam = {v: _pair_table(bet, _VARIANT_RULES[v], member) for v in VARIANTS}
 
     simp = simplicial_set(G)
     R = strong_resolving_graph(G)
-    mmd_clique = np.ones(1 << n, dtype=bool)
-    for u in range(n):
-        in_u = (masks & (1 << u)) != 0
-        for v in range(u + 1, n):
-            if not R.has_edge(u, v):
-                mmd_clique &= ~(in_u & ((masks & (1 << v)) != 0))
-    convex_complement = _pair_table(bet, "neither in")
+    outside = reduce(or_, (member[w] for w in bits(full & ~simp.mask)), 0)
+    apart = 0
+    for u, v in combinations(range(n), 2):
+        if not R.has_edge(u, v):
+            apart |= member[u] & member[v]
+    levels = _levels(n)
+    convex_complement = _pair_table(bet, "neither in", member)
     reports = [
         _same_family(
             "total-sets-simplicial-subsets", name, G,
             "total sets == subsets of the simplicial set",
-            fam["total"], (masks & ~simp.mask) == 0, simplicial=simp,
+            fam["total"], every & ~outside, simplicial=simp,
         ),
         _same_family(
             "outer-sets-mmd-cliques", name, G,
             "outer sets of size >= 2 == mutually-maximally-distant cliques",
-            fam["outer"], mmd_clique, where=popcount_table(n) >= 2,
+            fam["outer"], every & ~apart, where=every & ~(levels[0] | levels[1]),
         ),
         _same_family(
             "dual-iff-gp-convex-complement", name, G,
@@ -492,15 +492,11 @@ def _measure(G: Graph, key: str):
     if key == "inner_edge":
         return any(is_p4_inner_isometric(G, D, x, y) for x, y in G.edges())
     # maximum_sets: per variant, the maximum size and the sets of that size
-    import numpy as np
-
-    pops = popcount_table(G.n)
+    bet, member, levels = interval_masks(D), _membership(G.n), _levels(G.n)
     found = {}
     for variant in VARIANTS:
-        feas = variant_feasibility(D, variant)
-        best = int(pops[feas].max())
-        tops = np.flatnonzero(feas & (pops == best))
-        found[variant] = (best, {frozenset(bits(int(mask))) for mask in tops})
+        best, tops = _largest(_pair_table(bet, _VARIANT_RULES[variant], member), levels)
+        found[variant] = (best, {frozenset(bits(mask)) for mask in bits(tops)})
     return found
 
 

@@ -15,9 +15,11 @@ tries every subset.  Diagonal pairs u = u are excluded throughout, the
 empty set satisfies every variant, and a value of 0 for the dual variant
 means no nonempty dual set exists.
 
-The solvers work on Python ints as bitmasks.  Only the oracle's tables
-over all 2**n subsets are numpy arrays, and numpy is imported inside
-the functions that build them, so ``solve`` never loads it.
+Everything works on Python ints as bitmasks.  The oracle's table over
+all 2**n subsets is one int too, with bit X set iff the subset with
+bitmask X qualifies.  Only the public adapters ``variant_feasibility``
+and ``popcount_table`` unpack such a table into a numpy array, and they
+import numpy to do so; ``solve`` and ``brute_force`` never load it.
 """
 
 from __future__ import annotations
@@ -474,47 +476,95 @@ def _dual(G: Graph, bet, half, simplicial: int, order):
     return top, min(candidates)
 
 
+# A table over all 2**n subsets X of the vertices is one int with bit X
+# set iff X qualifies, so a rule over all subsets is a few big-int
+# operations (Knuth, TAOCP 4A, 7.1.3).
+
+
+def _membership(n: int) -> list:
+    """``IN[w]`` for w < n: the table of the subsets that hold w.  One
+    period, 2**w zeros then 2**w ones, doubled up to 2**n bits.  Every
+    table starts here, so here the size is capped."""
+    if n > _FEASIBILITY_CAP:
+        raise SizeError(f"feasibility table limited to n <= {_FEASIBILITY_CAP}")
+    size = 1 << n
+    member = []
+    for w in range(n):
+        width = 1 << w
+        table, length = ((1 << width) - 1) << width, 2 * width
+        while length < size:
+            table |= table << length
+            length *= 2
+        member.append(table)
+    return member
+
+
+def _levels(n: int) -> list:
+    """``L[k]`` for k <= n: the table of the subsets of size k.  Vertex
+    m moves each subset X without it to X + m, 2**m bits up, one size up."""
+    levels = [1] + [0] * n
+    for m in range(n):
+        for k in range(m + 1, 0, -1):
+            levels[k] |= levels[k - 1] << (1 << m)
+    return levels
+
+
+def _largest(table: int, levels) -> tuple:
+    """The largest size k of a subset in ``table``, and the table of the
+    subsets of that size.  The empty set is in every variant's table."""
+    value = max(k for k, level in enumerate(levels) if table & level)
+    return value, table & levels[value]
+
+
 # Which pairs u, v of the graph a subset X must keep free of its own
-# members, by whether u and v lie in X.  "any pair" needs no membership
-# and is handled apart.
+# members, by whether u and v lie in X, on membership tables.  The result
+# is ANDed with a table, so a negative int here stands for its low 2**n
+# bits.  "any pair" needs no membership and is handled apart.
 _PAIR_RULES = {
     "both in": lambda in_u, in_v: in_u & in_v,
     "either in": lambda in_u, in_v: in_u | in_v,
-    "same side": lambda in_u, in_v: in_u == in_v,
+    "same side": lambda in_u, in_v: ~(in_u ^ in_v),
     "neither in": lambda in_u, in_v: ~(in_u | in_v),
 }
 _VARIANT_RULES = dict(zip(VARIANTS, ("both in", "any pair", "either in", "same side")))
 
 
-def _pair_table(bet, rule: str) -> np.ndarray:
-    """Boolean table over all 2**n subsets X of the vertices of ``bet``
-    (an interval_masks table): entry X holds iff no pair u, v selected by
-    ``rule`` has a member of X strictly between u and v.
+def _pair_table(bet, rule: str, member) -> int:
+    """Table over all 2**n subsets X of the vertices of ``bet`` (an
+    interval_masks table), with ``member = _membership(n)``: X is in it
+    iff no pair u, v selected by ``rule`` has a member of X strictly
+    between u and v.
 
     The variants are the rules "both in" (gp), "any pair" (total),
     "either in" (outer) and "same side" (dual); "neither in" holds
     exactly for the subsets with a convex complement.
     """
-    import numpy as np
+    full = (1 << (1 << len(bet))) - 1
 
-    n = len(bet)
-    masks = np.arange(1 << n, dtype=np.int64)
+    def meets(b):
+        # the subsets that hold a vertex of b
+        return reduce(or_, map(member.__getitem__, bits(b)), 0)
+
     if rule == "any pair":
         # every pair counts, so X must avoid the union of all interiors
-        return (masks & reduce(or_, chain.from_iterable(bet), 0)) == 0
-    ok = np.ones(1 << n, dtype=bool)
+        return full & ~meets(reduce(or_, chain.from_iterable(bet), 0))
     combine = _PAIR_RULES[rule]
-    for u in range(n):
-        row = bet[u]
-        in_u = (masks & (1 << u)) != 0
-        for v in range(u + 1, n):
-            b = row[v]
-            if b == 0:
-                continue
-            relevant = (masks & b) != 0
-            relevant &= combine(in_u, (masks & (1 << v)) != 0)
-            ok &= ~relevant
-    return ok
+    bad = 0
+    for u, row in enumerate(bet):
+        in_u = member[u]
+        for v in range(u + 1, len(bet)):
+            if row[v]:
+                bad |= meets(row[v]) & combine(in_u, member[v])
+    return full & ~bad
+
+
+def _unpack(table: int, n: int) -> np.ndarray:
+    """The table as a boolean array over the masks 0..2**n-1."""
+    import numpy as np
+
+    size = 1 << n
+    raw = np.frombuffer(table.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=size, bitorder="little").astype(bool)
 
 
 def variant_feasibility(D: DistMatrix, variant: str) -> np.ndarray:
@@ -522,25 +572,23 @@ def variant_feasibility(D: DistMatrix, variant: str) -> np.ndarray:
     with that bitmask satisfies the variant.
 
     Pure quantifier evaluation over the betweenness structure, no
-    characterizations involved; this is the engine behind brute_force.
-    The table is a numpy array, so this loads numpy.
+    characterizations involved.  The table is built as an int, as
+    ``brute_force`` builds it, and returned unpacked into a numpy
+    array, so this loads numpy.
     """
     _check_variant(variant)
-    if D.n > _FEASIBILITY_CAP:
-        raise SizeError(f"feasibility table limited to n <= {_FEASIBILITY_CAP}")
-    return _pair_table(interval_masks(D), _VARIANT_RULES[variant])
+    member = _membership(D.n)
+    table = _pair_table(interval_masks(D), _VARIANT_RULES[variant], member)
+    return _unpack(table, D.n)
 
 
 def popcount_table(n: int) -> np.ndarray:
-    """Bit counts of 0..2**n-1."""
+    """Bit counts of 0..2**n-1, as a numpy array."""
     import numpy as np
 
-    size = 1 << n
-    out = np.zeros(size, dtype=np.int16)
-    block = 1
-    while block < size:
-        out[block : 2 * block] = out[:block] + 1
-        block *= 2
+    out = np.zeros(1 << n, dtype=np.int16)
+    for k, level in enumerate(_levels(n)):
+        out[_unpack(level, n)] = k
     return out
 
 
@@ -548,11 +596,12 @@ def brute_force(G: Graph, variant: str, max_n: int = 18) -> Certificate:
     """Exhaustive oracle: try every subset, straight from the definitions.
 
     Returns the maximum cardinality subset satisfying the variant, with
-    the lexicographically least witness among ties.  The 2**n tables are
-    numpy arrays, so this loads numpy; ``solve`` does not.
+    the lexicographically least witness among ties.  The table over all
+    2**n subsets is one Python int, so this does not load numpy.  The
+    witness comes from ascending decisions on the ties of that size:
+    each vertex that some remaining tie holds is kept, and the ties
+    without it are dropped.
     """
-    import numpy as np
-
     _check_variant(variant)
     if G.n == 0:
         raise EmptySetError("brute force needs at least one vertex")
@@ -560,10 +609,13 @@ def brute_force(G: Graph, variant: str, max_n: int = 18) -> Certificate:
         raise SizeError(f"brute force capped at n <= {max_n}, got n = {G.n}")
     if not is_connected(G):
         raise DisconnectedError("brute force needs a connected graph")
-    D = all_pairs_distances(G)
-    feasible = variant_feasibility(D, variant)
-    pops = popcount_table(G.n)
-    value = int(pops[feasible].max())
-    ties = np.flatnonzero(feasible & (pops == value))
-    witness = min(tuple(bits(int(mask))) for mask in ties)
+    member = _membership(G.n)
+    bet = interval_masks(all_pairs_distances(G))
+    table = _pair_table(bet, _VARIANT_RULES[variant], member)
+    value, ties = _largest(table, _levels(G.n))
+    witness = []
+    for v, in_v in enumerate(member):
+        if ties & in_v:
+            ties &= in_v
+            witness.append(v)
     return Certificate(variant, value, VertexSet(G.n, witness), "exhaustive")

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -217,6 +220,30 @@ def test_check_json_reports_suite_time(capsys):
     assert isinstance(payload["elapsed_ms"], float) and payload["elapsed_ms"] >= 0
     # the time is the suite's, not each report's
     assert all("elapsed_ms" not in r for r in payload["reports"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("gen", "--family", "cycle:5"), ("check", "--suite", "sufficient", "--json")],
+    ids=["gen", "check-json"],
+)
+def test_closed_stdout_exits_141_without_traceback(argv):
+    # stdout is a pipe whose read end is closed before the child starts,
+    # so its first write fails with EPIPE every time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "genpos.cli", *argv],
+            stdout=w, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(w)
+    assert done.returncode == 141
+    assert "Traceback" not in done.stderr
 
 
 def test_usage_errors_exit_2(capsys):

@@ -23,6 +23,7 @@ from genpos import (
 from genpos.errors import DisconnectedError, SizeError, SpecError
 from genpos.laws import (
     LawReport,
+    _same_family,
     chain_cycles_dual_value,
     theta_dual_vanishes,
 )
@@ -222,6 +223,22 @@ def _instance_graph(instance):
         B = _family(f"complete_bipartite:{r2},{t2}")
         return product(A, B, "strong")
     return _family(instance)
+
+
+def test_same_family_names_the_lowest_differing_mask_where_allowed():
+    # tables over the 8 subsets of 3 vertices: they differ at the masks
+    # 0b011, 0b101 and 0b110, and ``where`` leaves out 0b011
+    G = build_graph(3, [(0, 1), (1, 2)])
+    lhs = 1 << 0b011 | 1 << 0b101 | 1 << 0b110 | 1 << 0b111
+    rhs = 1 << 0b111
+    where = 0xFF & ~(1 << 0b011)
+    report = _same_family("law", "path:3", G, "equal", lhs, rhs, where=where)
+    assert not report.passed and report.actual == "families differ"
+    assert report.counterexample["offending_set"] == [0, 2]
+    assert _same_family("law", "path:3", G, "equal", lhs, rhs).counterexample[
+        "offending_set"
+    ] == [0, 1]
+    assert _same_family("law", "path:3", G, "equal", lhs, rhs, where=rhs).passed
 
 
 def test_family_laws_fail_on_wrong_values(monkeypatch):

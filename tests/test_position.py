@@ -132,6 +132,12 @@ def test_brute_force_size_cap():
 
 
 def test_feasibility_table_size_cap():
+    # n = 20 is the largest table: 2**20 entries, unpacked from one int
+    table = variant_feasibility(all_pairs_distances(_family("path:20")), "gp")
+    assert table.shape == (1 << 20,) and table.dtype == bool
+    # the empty set, both ends, and no set with an inner vertex among them
+    assert table[0] and table[1 | 1 << 19] and not table[1 | 1 << 5 | 1 << 19]
+    assert table.sum() == 1 + 20 + 190
     D = all_pairs_distances(_family("path:21"))
     with pytest.raises(SizeError):
         variant_feasibility(D, "gp")
@@ -255,6 +261,12 @@ def test_path_dual_families_exhaustively():
         # no vertex lies between two others: every subset is total
         "complete:5",
         "star:5",
+        # n = 1 to 4: tables of 2, 4, 8 and 16 bits, so the unpacking
+        # reads part of a byte, one byte and two bytes
+        "complete:1",
+        "path:2",
+        "path:3",
+        "cycle:4",
     ],
 )
 def test_feasibility_table_matches_predicate(spec, spec_graph):
@@ -340,6 +352,26 @@ def test_solver_oracle_agreement_structured(spec, spec_graph):
 )
 def test_solver_oracle_agreement_random(n, seed, tree):
     G = random_tree(n, seed) if tree else random_connected(n, 0.45, seed)
+    for variant in VARIANTS:
+        cert, oracle = solve(G, variant), brute_force(G, variant)
+        assert (cert.value, tuple(cert.witness)) == (
+            oracle.value,
+            tuple(oracle.witness),
+        )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "random_connected:16,0.3,1",
+        "random_connected:18,0.3,1",
+        "random_tree:18,1",
+        "random_tree:18,2",
+    ],
+)
+def test_solver_oracle_agreement_at_full_size(spec, spec_graph):
+    # the oracle's default cap is 18 vertices
+    G = spec_graph(spec)
     for variant in VARIANTS:
         cert, oracle = solve(G, variant), brute_force(G, variant)
         assert (cert.value, tuple(cert.witness)) == (
