@@ -43,12 +43,18 @@ _ALL_ORDER = ("gp", "outer", "total", "dual")
 
 
 def read_graph(path: str) -> Graph:
-    """Parse an edge-list file."""
+    """Parse an edge-list file.
+
+    Every command that reads a graph needs it connected, so a file with
+    more than m + 1 vertices fails before any graph is built.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
     except OSError as exc:
         raise SpecError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{path}: not UTF-8 text, byte {exc.start}") from exc
     lines = [
         line.strip()
         for line in raw.splitlines()
@@ -79,6 +85,10 @@ def read_graph(path: str) -> Graph:
         if not (0 <= u < v < n):
             raise SpecError(f"{path}: edge {line!r} violates 0 <= u < v < n={n}")
         edges.append((u, v))
+    if n > m + 1:
+        raise DisconnectedError(
+            f"{path}: {m} edges cannot make {n} vertices connected"
+        )
     try:
         return build_graph(n, edges)
     except (GenposError, IndexError) as exc:

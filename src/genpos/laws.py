@@ -7,7 +7,7 @@ against closed-form expectations; product laws exercise the cartesian
 product identities.  Failing reports carry a replayable payload (vertex
 count, edge list, offending sets).  A family of subsets is a table
 over all 2**n subset masks, one Python int with bit X set iff the subset
-with bitmask X is in the family, so the laws never load numpy.
+with bitmask X is in the family.
 """
 
 from __future__ import annotations

@@ -60,30 +60,31 @@ def all_pairs_distances(G: Graph) -> DistMatrix:
 def girth(G: Graph, D: DistMatrix):
     """Length of a shortest cycle, or math.inf when the graph is a forest.
 
-    BFS from each vertex; every non-tree edge closes a walk of length
-    dist(u) + dist(w) + 1 through the source, and the minimum of those
-    candidates over all sources is exactly the girth.
+    Read from the rows of D.  From a source s, each edge xy with
+    d(s, x) = d(s, y) closes a walk of length 2 d(s, x) + 1 through s,
+    and each vertex x with two neighbours at d(s, x) - 1 closes one of
+    length 2 d(s, x); either walk holds a cycle no longer than itself.
+    A shortest cycle through s gives its own length as one of these, at
+    its far edge or its far vertex, so the minimum over all sources is
+    exactly the girth.
     """
     if D.n != G.n:
         raise ValueError("distance matrix does not match the graph")
     best = math.inf
-    n, adj = G.n, G.adj
-    for s in range(n):
-        dist = [-1] * n
-        parent = [-1] * n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w and parent[w] != u:
-                    cand = dist[u] + dist[w] + 1
-                    if cand < best:
-                        best = cand
+    for du in D.d:
+        for x, nx in enumerate(G.adj):
+            dx = du[x]
+            if 2 * dx >= best:
+                continue
+            below = 0
+            for y in nx:
+                dy = du[y]
+                if dy == dx:
+                    best = min(best, 2 * dx + 1)
+                elif dy < dx:
+                    below += 1
+            if below > 1:
+                best = 2 * dx
     return best
 
 

@@ -17,9 +17,7 @@ means no nonempty dual set exists.
 
 Everything works on Python ints as bitmasks.  The oracle's table over
 all 2**n subsets is one int too, with bit X set iff the subset with
-bitmask X qualifies.  Only the public adapters ``variant_feasibility``
-and ``popcount_table`` unpack such a table into a numpy array, and they
-import numpy to do so; ``solve`` and ``brute_force`` never load it.
+bitmask X qualifies.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import or_
-from typing import TYPE_CHECKING
 
 from .errors import DegeneratePairError, DisconnectedError, EmptySetError, SizeError
 from .graphs import (
@@ -42,9 +39,6 @@ from .graphs import (
 )
 from .metric import DistMatrix, all_pairs_distances, interval_masks, simplicial_set
 from .srg import _strong_resolving_rows
-
-if TYPE_CHECKING:
-    import numpy as np
 
 VARIANTS = ("gp", "total", "outer", "dual")
 
@@ -217,13 +211,13 @@ def _branch_and_bound(
     ``floor``, or ``(floor, ())``.  No set grows past ``ceiling``, and
     the search stops once a set reaches it.
 
-    With ``order`` ascending and ``floor=value-1, ceiling=value``, only
-    frames holding ``value`` vertices count; they have no children, so
-    they finish in include-first, that is lexicographic, order.  The
-    bound cuts only subtrees that cannot beat the best so far, and the
-    hull cut only subtrees without a dual set, so the first set counted
-    is the lexicographically least optimum.  The dual witness comes
-    from that pass.
+    With ``order`` ascending, include-first order reaches the sets of
+    one size in lexicographic order.  From ``floor=0`` a set counts only
+    if it is larger than every set counted before it, so of the sets of
+    the final size only the first one reached counts.  The bound cuts
+    only subtrees that cannot beat the best so far, and the hull cut
+    only subtrees without a dual set, so that set is the
+    lexicographically least optimum.  The dual search is that one run.
 
     The search may start from a state instead of the empty set:
     ``pins`` are chosen from the start and ``forb`` is forbidden from
@@ -325,10 +319,10 @@ def solve(G: Graph, variant: str) -> Certificate:
     fixed shape that is checked apart (``_dual``).  The dual search also
     forbids the convex hull of the vertices it has excluded, which no
     dual set below that point can meet, and a set counts once that hull
-    is its whole complement.  It runs twice: once in descending
-    eccentricity order for the value, then in ascending vertex order,
-    stopping at the first set of that value, for the witness.  Every
-    cut removes only subtrees without a better set, so witnesses are
+    is its whole complement.  It runs once, in ascending vertex order,
+    and the first set it counts at the final size is the witness; the
+    gp value pass runs in descending eccentricity order.  Every cut
+    removes only subtrees without a better set, so witnesses are
     lexicographically least among the optima.  Every search here, the
     clique searches too, runs on an explicit stack, so no answer depends
     on the recursion limit.
@@ -348,10 +342,12 @@ def solve(G: Graph, variant: str) -> Certificate:
     D = all_pairs_distances(G)
     bet = interval_masks(D)
     half = _HalfLinks(G, D, bet)
-    ecc = [max(row) for row in D.d]
-    order = sorted(range(n), key=lambda v: (-ecc[v], v))
-    search = _gp if variant == "gp" else _dual
-    value, witness = search(G, bet, half, simp.mask, order)
+    if variant == "dual":
+        value, witness = _dual(G, bet, half, simp.mask)
+    else:
+        ecc = [max(row) for row in D.d]
+        order = sorted(range(n), key=lambda v: (-ecc[v], v))
+        value, witness = _gp(G, bet, half, simp.mask, order)
     return Certificate(variant, value, VertexSet(n, witness), "branch_and_bound")
 
 
@@ -432,7 +428,7 @@ def _gp_decisions(bet, half, simplicial: int, order, parts: dict, value: int):
     return decide
 
 
-def _dual(G: Graph, bet, half, simplicial: int, order):
+def _dual(G: Graph, bet, half, simplicial: int):
     """dual value and lexicographically least witness.
 
     A dual set S holding a cut vertex c meets one component C of G - c
@@ -442,12 +438,12 @@ def _dual(G: Graph, bet, half, simplicial: int, order):
     components and S is C + c, a set whose geodesics stay inside it, so
     a gp set only if it is a clique.  Its complement, the other
     component, is convex iff c lies between no two of its neighbours
-    there, that is, iff they form a clique.  So both passes run with
+    there, that is, iff they form a clique.  So the search runs with
     every cut vertex forbidden, and the sets C + c are weighed apart.
     The exchange lemma of ``_gp`` does not hold for dual: the swap can
     break the convexity of the complement.
     """
-    n = len(order)
+    n = G.n
     nbr = G.neighbor_masks
     parts = cut_components(G)
     cuts = sum(1 << c for c in parts)
@@ -463,16 +459,12 @@ def _dual(G: Graph, bet, half, simplicial: int, order):
         if clique(comp | 1 << c) and clique(nbr[c] & other)
     ]
     value, witness = _branch_and_bound(
-        bet, half, simplicial, order, True, 0, n, forb=cuts
+        bet, half, simplicial, range(n), True, 0, n, forb=cuts
     )
     top = max([value, *map(int.bit_count, apart)])
     candidates = [tuple(bits(S)) for S in apart if S.bit_count() == top]
     if value == top:
-        if value:
-            _, witness = _branch_and_bound(
-                bet, half, simplicial, range(n), True, value - 1, value, forb=cuts
-            )
-        candidates.append(tuple(sorted(witness)))
+        candidates.append(witness)
     return top, min(candidates)
 
 
@@ -558,38 +550,16 @@ def _pair_table(bet, rule: str, member) -> int:
     return full & ~bad
 
 
-def _unpack(table: int, n: int) -> np.ndarray:
-    """The table as a boolean array over the masks 0..2**n-1."""
-    import numpy as np
-
-    size = 1 << n
-    raw = np.frombuffer(table.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=size, bitorder="little").astype(bool)
-
-
-def variant_feasibility(D: DistMatrix, variant: str) -> np.ndarray:
-    """Boolean table over all 2**n subsets: table[mask] iff the subset
-    with that bitmask satisfies the variant.
+def variant_feasibility(D: DistMatrix, variant: str) -> int:
+    """Table over all 2**n subsets as one int: subset X, read as a
+    bitmask, satisfies the variant iff ``table >> X & 1``.
 
     Pure quantifier evaluation over the betweenness structure, no
-    characterizations involved.  The table is built as an int, as
-    ``brute_force`` builds it, and returned unpacked into a numpy
-    array, so this loads numpy.
+    characterizations involved; ``brute_force`` builds the same table.
     """
     _check_variant(variant)
     member = _membership(D.n)
-    table = _pair_table(interval_masks(D), _VARIANT_RULES[variant], member)
-    return _unpack(table, D.n)
-
-
-def popcount_table(n: int) -> np.ndarray:
-    """Bit counts of 0..2**n-1, as a numpy array."""
-    import numpy as np
-
-    out = np.zeros(1 << n, dtype=np.int16)
-    for k, level in enumerate(_levels(n)):
-        out[_unpack(level, n)] = k
-    return out
+    return _pair_table(interval_masks(D), _VARIANT_RULES[variant], member)
 
 
 def brute_force(G: Graph, variant: str, max_n: int = 18) -> Certificate:
@@ -597,10 +567,10 @@ def brute_force(G: Graph, variant: str, max_n: int = 18) -> Certificate:
 
     Returns the maximum cardinality subset satisfying the variant, with
     the lexicographically least witness among ties.  The table over all
-    2**n subsets is one Python int, so this does not load numpy.  The
-    witness comes from ascending decisions on the ties of that size:
-    each vertex that some remaining tie holds is kept, and the ties
-    without it are dropped.
+    2**n subsets is one Python int, as ``variant_feasibility`` returns
+    it.  The witness comes from ascending decisions on the ties of that
+    size: each vertex that some remaining tie holds is kept, and the
+    ties without it are dropped.
     """
     _check_variant(variant)
     if G.n == 0:

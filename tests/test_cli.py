@@ -44,11 +44,12 @@ def test_reader_accepts_comments_and_blank_lines(tmp_path):
         "3 1\n0 x\n",
         "3 1\n0 1 2\n",
         "-1 0\n",
+        b"2 1\n0 1\n\xff\xfe\n",  # not UTF-8
     ],
 )
 def test_reader_rejects_malformed_files(tmp_path, content):
     path = tmp_path / "bad.txt"
-    path.write_text(content)
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
     with pytest.raises(SpecError):
         read_graph(str(path))
 
@@ -117,11 +118,21 @@ def test_compute_all_flat_json(tmp_path, capsys):
     assert code == 0
     assert json.loads(out) == {"gp": 7, "outer": 3, "total": 0, "dual": 6}
 
+    code, out, _ = run(capsys, "compute", "--invariant", "all", "-i", str(f))
+    assert (code, out) == (0, "gp = 7\nouter = 3\ntotal = 0\ndual = 6\n")
+    code, out, _ = run(capsys, "compute", "--invariant", "all", "-i", str(f), "--quiet")
+    assert (code, out) == (0, "7\n3\n0\n6\n")
 
-def test_compute_disconnected_exits_3(tmp_path, capsys):
+
+@pytest.mark.parametrize("source", ["direct-product", "header-only"])
+def test_compute_disconnected_exits_3(tmp_path, capsys, source):
     f = tmp_path / "disc.txt"
-    run(capsys, "gen", "--product", "direct", "-a", "complete:2", "-b", "complete:2",
-        "-o", str(f))
+    if source == "direct-product":
+        run(capsys, "gen", "--product", "direct", "-a", "complete:2", "-b", "complete:2",
+            "-o", str(f))
+    else:
+        # far more vertices than edges: rejected before any graph is built
+        f.write_text("3000000000 0\n")
     code, _, err = run(capsys, "compute", "--invariant", "gp", "-i", str(f))
     assert code == 3 and "connected" in err
 

@@ -1,8 +1,8 @@
-"""Import contract: numpy loads only where a table is unpacked into an
-array, so no command loads it.
+"""Import contract: genpos needs nothing outside the standard library,
+so neither ``import genpos`` nor any command loads numpy.
 
-Each case runs in a fresh interpreter, since the test process itself
-has numpy loaded long before.
+Each case runs in a fresh interpreter, so that the modules the test
+process has loaded for itself do not count.
 """
 
 import json

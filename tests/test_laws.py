@@ -92,6 +92,7 @@ def test_sufficient_size_cap():
     [
         ("complete:3", "complete:5", 5),
         ("complete:3", "path:3", 3),
+        ("path:3", "complete:3", 3),
         ("path:3", "path:3", 0),
     ],
 )

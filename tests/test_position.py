@@ -1,6 +1,5 @@
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,8 +29,8 @@ from genpos.errors import (
     EmptySetError,
     SizeError,
 )
-from genpos.graphs import cut_components
-from genpos.position import _gp_decisions, _HalfLinks, popcount_table
+from genpos.graphs import bits, cut_components
+from genpos.position import _gp_decisions, _HalfLinks, _levels
 
 
 def _family(text):
@@ -132,12 +131,13 @@ def test_brute_force_size_cap():
 
 
 def test_feasibility_table_size_cap():
-    # n = 20 is the largest table: 2**20 entries, unpacked from one int
+    # n = 20 is the largest table: one int of 2**20 bits
     table = variant_feasibility(all_pairs_distances(_family("path:20")), "gp")
-    assert table.shape == (1 << 20,) and table.dtype == bool
+    assert isinstance(table, int) and 0 <= table < 1 << (1 << 20)
     # the empty set, both ends, and no set with an inner vertex among them
-    assert table[0] and table[1 | 1 << 19] and not table[1 | 1 << 5 | 1 << 19]
-    assert table.sum() == 1 + 20 + 190
+    assert table & 1 and table >> (1 | 1 << 19) & 1
+    assert not table >> (1 | 1 << 5 | 1 << 19) & 1
+    assert table.bit_count() == 1 + 20 + 190
     D = all_pairs_distances(_family("path:21"))
     with pytest.raises(SizeError):
         variant_feasibility(D, "gp")
@@ -239,12 +239,12 @@ def test_path_dual_families_exhaustively():
         P = _family(f"path:{n}")
         D = all_pairs_distances(P)
         feas = variant_feasibility(D, "dual")
-        pops = popcount_table(n)
-        best = int(pops[feas].max())
+        levels = _levels(n)
+        best = max(k for k, level in enumerate(levels) if feas & level)
         assert best == 2
         tops = {
-            frozenset(int(v) for v in range(n) if mask >> v & 1)
-            for mask in np.flatnonzero(feas & (pops == 2))
+            frozenset(v for v in range(n) if mask >> v & 1)
+            for mask in bits(feas & levels[2])
         }
         assert tops == {
             frozenset({0, 1}),
@@ -261,8 +261,7 @@ def test_path_dual_families_exhaustively():
         # no vertex lies between two others: every subset is total
         "complete:5",
         "star:5",
-        # n = 1 to 4: tables of 2, 4, 8 and 16 bits, so the unpacking
-        # reads part of a byte, one byte and two bytes
+        # n = 1 to 4: tables of 2, 4, 8 and 16 bits
         "complete:1",
         "path:2",
         "path:3",
@@ -276,7 +275,7 @@ def test_feasibility_table_matches_predicate(spec, spec_graph):
         table = variant_feasibility(D, variant)
         for mask in range(1 << G.n):
             X = VertexSet.from_mask(G.n, mask)
-            assert bool(table[mask]) == is_variant_set(G, D, X, variant)
+            assert bool(table >> mask & 1) == is_variant_set(G, D, X, variant)
 
 
 @settings(max_examples=60, deadline=None)
@@ -286,22 +285,25 @@ def test_feasibility_table_matches_predicate(spec, spec_graph):
     seed=st.integers(min_value=0, max_value=10**6),
 )
 def test_feasibility_table_matches_predicate_random(n, p, seed):
-    # the "both in", "either in" and "same side" rules combine boolean
-    # arrays with plain operators; graphs with nonzero betweenness rows
-    # exercise each of them against the definition
+    # the "both in", "either in" and "same side" rules combine membership
+    # tables with plain operators, "same side" through a negative int;
+    # graphs with nonzero betweenness rows exercise each of them against
+    # the definition
     G = random_connected(n, p, seed)
     D = all_pairs_distances(G)
     for variant in VARIANTS:
         table = variant_feasibility(D, variant)
         for mask in range(1 << G.n):
             X = VertexSet.from_mask(G.n, mask)
-            assert bool(table[mask]) == is_variant_set(G, D, X, variant)
+            assert bool(table >> mask & 1) == is_variant_set(G, D, X, variant)
 
 
-def test_popcount_table():
-    t = popcount_table(10)
-    assert len(t) == 1024
-    assert t[0] == 0 and t[1023] == 10 and t[0b1010010] == 3
+def test_level_tables():
+    # bit m of _levels(n)[k] is set iff the subset with bitmask m has k members
+    levels = _levels(10)
+    assert len(levels) == 11
+    for k, level in enumerate(levels):
+        assert level == sum(1 << m for m in range(1024) if m.bit_count() == k)
 
 
 # Cartesian products of small factors (each spec's parameter is its
@@ -435,12 +437,11 @@ def test_gp_decisions_with_pins_against_the_oracle_table(
     D = all_pairs_distances(G)
     bet = interval_masks(D)
     table = variant_feasibility(D, "gp")
-    pops = popcount_table(n)
-    value = int(pops[table].max())
-    masks = np.arange(1 << n, dtype=np.int64)
-    gp_sets = np.flatnonzero(table)
+    levels = _levels(n)
+    value = max(k for k, level in enumerate(levels) if table & level)
+    gp_sets = list(bits(table))
     for _ in range(4):
-        base = int(gp_sets[data.draw(st.integers(0, len(gp_sets) - 1))])
+        base = gp_sets[data.draw(st.integers(0, len(gp_sets) - 1))]
         pins = [u for u in range(n) if base >> u & 1 and data.draw(st.booleans())]
         rest = [u for u in range(n) if u not in pins]
         if not rest or len(pins) >= value:
@@ -448,8 +449,11 @@ def test_gp_decisions_with_pins_against_the_oracle_table(
         v = data.draw(st.sampled_from(rest), label="v")
         rejected = sum(1 << u for u in rest if u != v and data.draw(st.booleans()))
         need = sum(1 << u for u in pins) | 1 << v
-        want = table & (pops == value) & ((masks & need) == need)
-        want &= (masks & rejected) == 0
+        want = [
+            X
+            for X in bits(table & levels[value])
+            if X & need == need and not X & rejected
+        ]
         decide = _gp_decisions(
             bet,
             _HalfLinks(G, D, bet),
@@ -459,9 +463,9 @@ def test_gp_decisions_with_pins_against_the_oracle_table(
             value,
         )
         found = decide(v, pins, rejected)
-        assert bool(found) == bool(want.any()), (pins, v, rejected)
+        assert bool(found) == bool(want), (pins, v, rejected)
         if found:
-            assert table[found] and found.bit_count() == value
+            assert table >> found & 1 and found.bit_count() == value
             assert found & need == need and not found & rejected
 
 
