@@ -93,7 +93,10 @@ def is_variant_set(G: Graph, D: DistMatrix, X: VertexSet, variant: str) -> bool:
     For each vertex u, the pairs (u, v) that some member of X other than
     u blocks are the union of the shadow rows ``_shadow_row(G, D, u)[x]``
     over x in X less u.  Each variant names the partners v that u must
-    keep unblocked, so one row per vertex decides all of its pairs.
+    keep unblocked, so one row per vertex decides all of its pairs.  A
+    simplicial member lies inside no geodesic, so it blocks no pair, and
+    only the other members need the row; the simplicial set is found
+    the first time a row is needed.
     """
     _check_variant(variant)
     if X.n != G.n or D.n != G.n:
@@ -101,6 +104,7 @@ def is_variant_set(G: Graph, D: DistMatrix, X: VertexSet, variant: str) -> bool:
     n, nbr, d = G.n, G.neighbor_masks, D.d
     x = X.mask
     full = (1 << n) - 1
+    inner = None  # the members that are not simplicial
     for u in range(n):
         bit = 1 << u
         inside = x & bit
@@ -125,9 +129,13 @@ def is_variant_set(G: Graph, D: DistMatrix, X: VertexSet, variant: str) -> bool:
                     if du[y] + d[y][v] == du[v]:
                         return False
             continue
-        row = _shadow_row(G, D, u)
-        if reduce(or_, map(row.__getitem__, bits(others)), 0) & partners:
-            return False
+        if inner is None:
+            inner = x & ~simplicial_set(G).mask
+        others &= inner
+        if others:
+            row = _shadow_row(G, D, u)
+            if reduce(or_, map(row.__getitem__, bits(others)), 0) & partners:
+                return False
     return True
 
 
@@ -180,6 +188,7 @@ def _branch_and_bound(
     ceiling: int,
     pins=(),
     forb: int = 0,
+    doll=(),
 ):
     """Include-first branch and bound over the downward-closed gp sets.
 
@@ -219,6 +228,13 @@ def _branch_and_bound(
     only subtrees without a dual set, so that set is the
     lexicographically least optimum.  The dual search is that one run.
 
+    A gp run may pass ``doll``, one entry per position of ``order`` and
+    one past its end: ``doll[i]`` bounds the size of any gp set inside
+    ``order[i:]``.  gp sets are hereditary, so a frame at position i then
+    also ends when ``size + doll[i] <= best``, tested after the
+    candidate count at both of its sites.  Without it the search is
+    unchanged; dual sets are not hereditary, so the dual search has none.
+
     The search may start from a state instead of the empty set:
     ``pins`` are chosen from the start and ``forb`` is forbidden from
     the start; ``forb`` must hold the conflict links of every pair of
@@ -246,7 +262,11 @@ def _branch_and_bound(
     size = len(xs)
     i = hull = 0
     while True:
-        if i < n and size + (suffix[i] & ~forb).bit_count() > best:
+        if (
+            i < n
+            and size + (suffix[i] & ~forb).bit_count() > best
+            and (not doll or size + doll[i] > best)
+        ):
             v = order[i]
             i += 1
             bit = 1 << v
@@ -260,7 +280,9 @@ def _branch_and_bound(
                     for u in xs:
                         grown |= hv[u] | half[u][v]
                 # the child's first bound test, made before it starts
-                if size + 1 + (suffix[i] & ~grown).bit_count() > best:
+                if size + 1 + (suffix[i] & ~grown).bit_count() > best and (
+                    not doll or size + 1 + doll[i] > best
+                ):
                     stack.append((i, xmask, forb, hull, size))
                     xs.append(v)
                     xmask |= bit
@@ -311,18 +333,24 @@ def solve(G: Graph, variant: str) -> Certificate:
     shared by every run, and pairs of simplicial vertices need none.
     Both start with the cut vertices forbidden, found by one
     Hopcroft-Tarjan pass.  For gp that is the exchange lemma (``_gp``):
-    some optimum holds no cut vertex.  Its lexicographically least
+    some optimum holds no cut vertex.  The gp value pass is a
+    Russian-doll search over the other vertices in descending
+    eccentricity order.  From the last vertex back it fills a table of
+    the largest gp set inside each suffix of that order: it first
+    extends the last optimum by the new vertex, with a few ORs, and only
+    when that fails runs the search with the vertex pinned, bounded by
+    the table, for a set one larger.  Its lexicographically least
     witness comes from prefix decisions in ascending vertex order, each
-    a run of the same search from the vertices pinned so far; a
+    a run of the same search from the vertices pinned so far, bounded by
+    the same table plus one for each cut vertex the run leaves free; a
     successful run returns a whole optimum, whose later members are
     pinned without a search.  For dual a set holding a cut vertex has a
     fixed shape that is checked apart (``_dual``).  The dual search also
     forbids the convex hull of the vertices it has excluded, which no
     dual set below that point can meet, and a set counts once that hull
     is its whole complement.  It runs once, in ascending vertex order,
-    and the first set it counts at the final size is the witness; the
-    gp value pass runs in descending eccentricity order.  Every cut
-    removes only subtrees without a better set, so witnesses are
+    and the first set it counts at the final size is the witness.  Every
+    cut removes only subtrees without a better set, so witnesses are
     lexicographically least among the optima.  Every search here, the
     clique searches too, runs on an explicit stack, so no answer depends
     on the recursion limit.
@@ -359,56 +387,111 @@ def _gp(G: Graph, bet, half, simplicial: int, order):
     Swapping c for a vertex w of another component keeps S a gp set:
     each geodesic from S - c to w passes through c, so a member of S
     inside it would already lie between its end and c.  Every component
-    holds a vertex that is not a cut vertex, so the value pass forbids
-    every cut vertex from the start.  The witness comes from prefix
-    decisions (``graphs._lex_least``), each a pinned run of the same
-    search (``_gp_decisions``).
+    holds a vertex that is not a cut vertex, so the value pass runs over
+    the non-cut vertices ``verts`` alone, in ``order``, with every cut
+    vertex forbidden.
+
+    The value pass is a Russian-doll search (Verfaillie, Lemaitre and
+    Schiex, AAAI 1996; Ostergard's maximum clique, Discrete Appl. Math.
+    2002).  gp sets are hereditary, so ``doll[i]``, the size of the
+    largest gp set inside ``verts[i:]``, is ``doll[i + 1]`` or one more,
+    and bounds every frame at position i of the searches that follow.
+    It is filled from the end.  At each i the last optimum found is
+    first extended by ``verts[i]``.  With the OR of the conflict links
+    of its pairs at hand, that succeeds iff ``verts[i]`` is outside it:
+    a triple is a conflict whichever of its three pairs is taken, so no
+    link from ``verts[i]`` to a member then holds another member.  Only
+    when that fails does a search run, with ``verts[i]`` pinned over
+    ``verts[i + 1:]``, bounded by the table, for a set one larger.  The
+    optimum at i = 0 is the first one for the witness, which comes from
+    prefix decisions (``graphs._lex_least``), each a pinned run of the
+    same search bounded by the same table (``_gp_decisions``).
     """
-    n = len(order)
     parts = cut_components(G)
     cuts = sum(1 << c for c in parts)
-    value, first = _branch_and_bound(
-        bet, half, simplicial, order, False, 0, n, forb=cuts
-    )
-    decide = _gp_decisions(bet, half, simplicial, order, parts, value)
-    return value, _lex_least(n, value, sum(1 << u for u in first), decide)
+    doll, first = _gp_doll(bet, half, simplicial, order, cuts)
+    decide = _gp_decisions(bet, half, simplicial, order, parts, doll)
+    return doll[0], _lex_least(len(order), doll[0], first, decide)
 
 
-def _gp_decisions(bet, half, simplicial: int, order, parts: dict, value: int):
+def _gp_doll(bet, half, simplicial: int, order, cuts: int):
+    """The Russian-doll table of ``_gp`` and the mask of one optimum:
+    ``doll[i]`` is the size of the largest gp set inside ``verts[i:]``,
+    where ``verts`` lists the vertices of ``order`` outside ``cuts``."""
+    verts = [v for v in order if not cuts >> v & 1]
+    doll = [0] * (len(verts) + 1)
+    best, held, links = [], 0, 0  # the last optimum, its mask, its links
+    for i in range(len(verts) - 1, -1, -1):
+        v = verts[i]
+        new = (v,)  # the vertices that join the last optimum
+        if links >> v & 1:
+            # v does not extend it: search for a set one larger holding v,
+            # which replaces it when found
+            c = doll[i + 1]
+            rest = verts[i + 1 :]
+            _, new = _branch_and_bound(
+                bet, half, simplicial, rest, False, c, c + 1, new, cuts, doll[i + 1 :]
+            )
+            if new:
+                best, held, links = [], 0, 0
+        for u in new:
+            links |= _links(bet, half, simplicial, u, best, held)
+            best.append(u)
+            held |= 1 << u
+        doll[i] = len(best)
+    return doll, held
+
+
+def _links(bet, half, simplicial: int, v: int, xs, xmask: int) -> int:
+    """The OR over u in ``xs``, whose mask is ``xmask``, of the conflict
+    link ``half[v][u] | half[u][v]``, with the shortcuts of the kernel's
+    include: ``half[a][b]`` is ``bet[a][b]`` for a simplicial b, and that
+    lies in ``half[b][a]``.  So a simplicial v needs no ``half[u][v]``,
+    and ``bet[v]`` serves for ``half[v]`` when every u is simplicial."""
+    hv = half[v] if xmask & ~simplicial else bet[v]
+    out = 0
+    if simplicial >> v & 1:
+        for u in xs:
+            out |= hv[u]
+    else:
+        for u in xs:
+            out |= hv[u] | half[u][v]
+    return out
+
+
+def _gp_decisions(bet, half, simplicial: int, order, parts: dict, doll):
     """The decision of ``_lex_least`` for gp: ``decide(v, pins,
-    rejected)`` returns the mask of a gp set of size ``value`` that holds
-    the pins and v and no rejected vertex, or 0.  ``parts`` maps each cut
-    vertex to the components of G - c, and ``pins`` must be a gp set.
+    rejected)`` returns the mask of a gp set of size ``doll[0]``, the
+    value, that holds the pins and v and no rejected vertex, or 0.
+    ``parts`` maps each cut vertex to the components of G - c, ``pins``
+    must be a gp set and ``doll`` is the table of ``_gp_doll``.
 
     Each call is a run of the value search started from the pins and v.
     It may still forbid a cut vertex c outside them when two or more
     components of G - c hold a non-cut vertex outside the rejected set:
     one of them misses the set, and the exchange lemma of ``_gp`` swaps
-    c for that vertex.  The conflict links of the pins grow with the
-    pins, as the list is only ever extended.
+    c for that vertex.  The run is bounded at position j of its vertex
+    list by ``doll`` at the first non-cut vertex from j on, plus one for
+    each cut vertex from j on, which the table does not cover.  The
+    conflict links of the pins grow with the pins, as the list is only
+    ever extended.
     """
     cuts = sum(1 << c for c in parts)
-
-    def link(u, v):
-        # half[a][b] is bet[a][b] for a simplicial b, with no row built
-        uv = bet[u][v] if simplicial >> v & 1 else half[u][v]
-        vu = bet[v][u] if simplicial >> u & 1 else half[v][u]
-        return uv | vu
-
+    value = doll[0]
+    verts = [v for v in order if not cuts >> v & 1]
+    at = {v: i for i, v in enumerate(verts)}
     linked = [0, 0, 0]  # pins linked so far, their mask, their links
     ruled = {}  # rejected non-cut vertices -> cut vertices a swap frees
 
     def decide(v, pins, rejected):
         count, held, forb = linked
-        for p in pins[count:]:
-            for u in bits(held):
-                forb |= link(u, p)
-            held |= 1 << p
+        for k in range(count, len(pins)):
+            forb |= _links(bet, half, simplicial, pins[k], pins[:k], held)
+            held |= 1 << pins[k]
         linked[:] = len(pins), held, forb
         if forb >> v & 1:
             return 0
-        for u in pins:
-            forb |= link(u, v)
+        forb |= _links(bet, half, simplicial, v, pins, held)
         held |= 1 << v
         gone = rejected & ~cuts
         if gone not in ruled:
@@ -420,8 +503,17 @@ def _gp_decisions(bet, half, simplicial: int, order, parts: dict, value: int):
             )
         forb |= rejected | ruled[gone] & ~held
         rest = [u for u in order if not (forb | held) >> u & 1]
+        cap = [0] * (len(rest) + 1)
+        top, loose = len(verts), 0
+        for j in range(len(rest) - 1, -1, -1):
+            u = rest[j]
+            if cuts >> u & 1:
+                loose += 1
+            else:
+                top = at[u]
+            cap[j] = doll[top] + loose
         size, members = _branch_and_bound(
-            bet, half, simplicial, rest, False, value - 1, value, pins + [v], forb
+            bet, half, simplicial, rest, False, value - 1, value, pins + [v], forb, cap
         )
         return sum(1 << u for u in members) if size == value else 0
 

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from genpos import (
     is_convex,
     is_positionable,
     is_variant_set,
+    position,
     random_connected,
     random_tree,
     simplicial_set,
@@ -30,7 +32,7 @@ from genpos.errors import (
     SizeError,
 )
 from genpos.graphs import bits, cut_components
-from genpos.position import _gp_decisions, _HalfLinks, _levels
+from genpos.position import _gp_decisions, _gp_doll, _HalfLinks, _levels
 
 
 def _family(text):
@@ -423,22 +425,94 @@ def test_solver_oracle_agreement_glued_at_a_cut_vertex(
         )
 
 
+def _gp_search_inputs(G):
+    # what solve builds for the gp search: the distance and interval
+    # tables, the links, the simplicial mask and the vertices in
+    # descending eccentricity
+    D = all_pairs_distances(G)
+    bet = interval_masks(D)
+    ecc = [max(row) for row in D.d]
+    order = sorted(range(G.n), key=lambda v: (-ecc[v], v))
+    return D, bet, _HalfLinks(G, D, bet), simplicial_set(G).mask, order
+
+
+def _doll_against_the_oracle(G):
+    # doll[i] of the gp value pass must be the largest gp set inside
+    # verts[i:], read from the oracle's table; returns how many of the
+    # positions were filled by extending the last optimum and how many
+    # by a search
+    D, bet, half, simplicial, order = _gp_search_inputs(G)
+    cuts = sum(1 << c for c in cut_components(G))
+    with mock.patch.object(
+        position, "_branch_and_bound", wraps=position._branch_and_bound
+    ) as runs:
+        doll, first = _gp_doll(bet, half, simplicial, order, cuts)
+    verts = [v for v in order if not cuts >> v & 1]
+    gp_sets = list(bits(variant_feasibility(D, "gp")))
+    want, inside = [0], 0
+    for v in reversed(verts):
+        inside |= 1 << v
+        want.append(max(X.bit_count() for X in gp_sets if not X & ~inside))
+    assert doll == want[::-1]
+    assert first in gp_sets and first.bit_count() == doll[0] and not first & cuts
+    assert doll[0] == brute_force(G, "gp").value
+    return len(verts) - runs.call_count, runs.call_count
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=13),
+    p=st.sampled_from([0.2, 0.35, 0.5, 0.7]),
+    seed=st.integers(min_value=0, max_value=10**6),
+    tree=st.booleans(),
+)
+def test_gp_doll_table_against_the_oracle(n, p, seed, tree):
+    G = random_tree(n, seed) if tree else random_connected(n, p, seed)
+    _doll_against_the_oracle(G)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_GLUED)
+def test_gp_doll_table_against_the_oracle_glued(a, b, seed, tree_a, tree_b, data):
+    _doll_against_the_oracle(_glued(a, b, seed, tree_a, tree_b, data))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["cycle:7", "petersen", "cartesian:cycle:4|path:3", "random_connected:12,0.3,1"],
+)
+def test_gp_doll_table_both_ways_against_the_oracle(spec, spec_graph):
+    # the table is filled both by extending the last optimum and by search
+    extended, searched = _doll_against_the_oracle(spec_graph(spec))
+    assert extended and searched
+
+
+def test_gp_doll_table_of_a_star_runs_no_search(spec_graph):
+    # the leaves are pairwise in general position, so each one extends
+    # the last optimum; a search per leaf would include every later leaf
+    assert _doll_against_the_oracle(spec_graph("star:9")) == (9, 0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(**_GLUED)
 def test_gp_decisions_with_pins_against_the_oracle_table(
     a, b, seed, tree_a, tree_b, data
 ):
     # one prefix decision of the gp witness, from drawn pins (a subset of
-    # a drawn gp set), a drawn vertex v and a drawn rejected set: its
-    # run forbids the cut vertices that the exchange lemma frees, and
-    # must still find a gp set of the value exactly when one exists
+    # a drawn gp set), a drawn vertex v and a drawn rejected set, built
+    # as _gp builds it: its run forbids the cut vertices that the
+    # exchange lemma frees, is bounded by the Russian-doll table plus one
+    # for each cut vertex it leaves free, and must still find a gp set
+    # of the value exactly when one exists
     G = _glued(a, b, seed, tree_a, tree_b, data)
     n = G.n
-    D = all_pairs_distances(G)
-    bet = interval_masks(D)
+    D, bet, half, simplicial, order = _gp_search_inputs(G)
+    parts = cut_components(G)
+    doll, _ = _gp_doll(bet, half, simplicial, order, sum(1 << c for c in parts))
     table = variant_feasibility(D, "gp")
     levels = _levels(n)
     value = max(k for k, level in enumerate(levels) if table & level)
+    assert doll[0] == value
     gp_sets = list(bits(table))
     for _ in range(4):
         base = gp_sets[data.draw(st.integers(0, len(gp_sets) - 1))]
@@ -454,14 +528,7 @@ def test_gp_decisions_with_pins_against_the_oracle_table(
             for X in bits(table & levels[value])
             if X & need == need and not X & rejected
         ]
-        decide = _gp_decisions(
-            bet,
-            _HalfLinks(G, D, bet),
-            simplicial_set(G).mask,
-            list(range(n)),
-            cut_components(G),
-            value,
-        )
+        decide = _gp_decisions(bet, half, simplicial, order, parts, doll)
         found = decide(v, pins, rejected)
         assert bool(found) == bool(want), (pins, v, rejected)
         if found:
