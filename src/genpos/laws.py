@@ -1,19 +1,21 @@
 """Machine-checkable laws tying the four invariants together.
 
 Each check evaluates one statement on one instance and returns a
-LawReport.  Structural laws compare whole set families exhaustively on
-small graphs; sufficient-condition and family laws compare solver output
-against closed-form expectations; product laws exercise the cartesian
-product identities.  Failing reports carry a replayable payload (vertex
-count, edge list, offending sets).  A family of subsets is a table
-over all 2**n subset masks, one Python int with bit X set iff the subset
-with bitmask X is in the family.
+LawReport.  Every structural law but the last is one comparison of
+subset tables on a small graph, the pair laws included, whose tables
+hold 2-subsets; sufficient-condition and family laws compare solver
+output against closed-form expectations; product laws exercise the
+cartesian product identities.  Every failing report carries a replayable
+payload: the vertex count and edge list of the graph, and the offending
+sets.  A family of subsets is a table over all 2**n subset masks, one
+Python int with bit X set iff the subset with bitmask X is in the
+family.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from functools import reduce
 from itertools import combinations
 from operator import or_
@@ -31,7 +33,6 @@ from .metric import (
 )
 from .position import (
     VARIANTS,
-    _VARIANT_RULES,
     _largest,
     _levels,
     _membership,
@@ -51,18 +52,12 @@ class LawReport:
     passed: bool
     expected: str
     actual: str
-    counterexample: dict | None = field(default=None)
+    counterexample: dict | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "law": self.law,
-            "instance": self.instance,
-            "passed": self.passed,
-            "expected": self.expected,
-            "actual": self.actual,
-        }
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
+        out = asdict(self)
+        if self.counterexample is None:
+            del out["counterexample"]
         return out
 
 
@@ -80,11 +75,11 @@ def _report(law, instance, ok, expected, actual, G: Graph, **sets) -> LawReport:
     )
 
 
-def _same_family(law, instance, G, expected, lhs, rhs, where=-1, **sets):
-    """Compare two tables over all subset masks of G, restricted to the
-    table ``where`` (-1 allows every mask); on failure the payload names
-    the first differing mask."""
-    differ = (lhs ^ rhs) & where
+def _same_family(law, instance, G, expected, first, *others, where=-1, **sets):
+    """Compare tables over all subset masks of G, each of ``others`` with
+    ``first``, restricted to the table ``where`` (-1 allows every mask);
+    on failure the payload names the lowest mask where any differs."""
+    differ = reduce(or_, (first ^ other for other in others), 0) & where
     ok = not differ
     actual = "families equal" if ok else "families differ"
     bad = (differ & -differ).bit_length() - 1 if differ else 0
@@ -108,7 +103,8 @@ def check_structural(G: Graph, name: str | None = None) -> list[LawReport]:
     resolving graph; dual sets are exactly the gp sets with convex
     complement; the three-way equivalence for adjacent pairs; the
     simplicial characterization for nonadjacent pairs; and value 1 of the
-    dual invariant forcing a unique simplicial vertex.
+    dual invariant forcing a unique simplicial vertex.  All but the last
+    compare subset tables, the pair laws on the tables of 2-subsets.
     """
     if G.n > 12:
         raise SizeError(f"structural checks capped at n <= 12, got {G.n}")
@@ -119,17 +115,26 @@ def check_structural(G: Graph, name: str | None = None) -> list[LawReport]:
     every = (1 << (1 << n)) - 1
     member = _membership(n)
     bet = interval_masks(D)
-    fam = {v: _pair_table(bet, _VARIANT_RULES[v], member) for v in VARIANTS}
+    fam = {v: _pair_table(bet, v, member) for v in VARIANTS}
 
     simp = simplicial_set(G)
     R = strong_resolving_graph(G)
     outside = reduce(or_, (member[w] for w in bits(full & ~simp.mask)), 0)
-    apart = 0
+    # apart: the subsets holding a pair that is not mutually maximally
+    # distant; edges, literal and others: tables of 2-subsets
+    apart = edges = literal = others = 0
     for u, v in combinations(range(n), 2):
         if not R.has_edge(u, v):
             apart |= member[u] & member[v]
+        pair = 1 << (1 << u | 1 << v)
+        if not G.has_edge(u, v):
+            others |= pair
+        else:
+            edges |= pair
+            if _adjacent_pair_literal(G, D, u, v):
+                literal |= pair
     levels = _levels(n)
-    convex_complement = _pair_table(bet, "neither in", member)
+    convex_complement = _pair_table(bet, "convex complement", member)
     reports = [
         _same_family(
             "total-sets-simplicial-subsets", name, G,
@@ -146,51 +151,17 @@ def check_structural(G: Graph, name: str | None = None) -> list[LawReport]:
             "dual sets == gp sets with convex complement",
             fam["dual"], fam["gp"] & convex_complement,
         ),
-    ]
-
-    bad_edge = None
-    for x, y in G.edges():
-        pair = VertexSet(n, (x, y))
-        as_dual = is_variant_set(G, D, pair, "dual")
-        complement_convex = _is_convex_mask(bet, full & ~pair.mask)
-        literal = _adjacent_pair_literal(G, D, x, y)
-        if not (as_dual == complement_convex == literal):
-            bad_edge = (x, y, as_dual, complement_convex, literal)
-            break
-    ok = bad_edge is None
-    ce = None
-    if not ok:
-        x, y, a, b, c = bad_edge
-        ce = _payload(G, pair=[x, y])
-        ce["branches"] = {"dual": a, "convex_complement": b, "neighborhood_condition": c}
-    reports.append(
-        LawReport(
-            "adjacent-pair-three-way",
-            name,
-            ok,
+        _same_family(
+            "adjacent-pair-three-way", name, G,
             "adjacent {x,y}: dual iff complement convex iff neighborhood condition",
-            "all edges agree" if ok else "disagreement found",
-            ce,
-        )
-    )
-
-    bad_pair = ()
-    for x, y in combinations(range(n), 2):
-        if G.has_edge(x, y):
-            continue
-        as_dual = is_variant_set(G, D, VertexSet(n, (x, y)), "dual")
-        if as_dual != (x in simp and y in simp):
-            bad_pair = (x, y)
-            break
-    ok = not bad_pair
-    reports.append(
-        _report(
-            "nonadjacent-pair-simplicial", name, ok,
+            fam["dual"], convex_complement, literal, where=edges,
+        ),
+        _same_family(
+            "nonadjacent-pair-simplicial", name, G,
             "nonadjacent {x,y} dual iff both vertices simplicial",
-            "all pairs agree" if ok else "disagreement found",
-            G, pair=bad_pair,
-        )
-    )
+            fam["dual"], every & ~outside, where=others,
+        ),
+    ]
 
     dual_value = solve(G, "dual").value
     ok = dual_value != 1 or len(simp) == 1
@@ -246,8 +217,10 @@ def check_sufficient(G: Graph, name: str | None = None) -> list[LawReport]:
     all_inner = G.m > 0 and all(
         is_p4_inner_isometric(G, D, x, y) for x, y in G.edges()
     )
+    g = girth(G, D)
+    # one dual solve serves both laws, and none runs when both are vacuous
+    value = solve(G, "dual").value if all_inner or g >= 6 else None
     if all_inner:
-        value = solve(G, "dual").value
         ok = value == 0
         actual = f"dual={value}"
     else:
@@ -261,10 +234,8 @@ def check_sufficient(G: Graph, name: str | None = None) -> list[LawReport]:
         )
     )
 
-    g = girth(G, D)
     if g >= 6:
         min_deg = min((G.degree(v) for v in range(G.n)), default=0)
-        value = solve(G, "dual").value
         ok = (value == 0) == (min_deg >= 2)
         actual = f"girth={g}, min_degree={min_deg}, dual={value}"
     else:
@@ -370,26 +341,17 @@ def check_products(G: Graph, H: Graph, name: str | None = None) -> list[LawRepor
         )
     )
 
-    srg_product = strong_resolving_graph(P)
-    srg_direct = product(strong_resolving_graph(G), strong_resolving_graph(H), "direct")
-    ok = set(srg_product.edges()) == set(srg_direct.edges())
+    in_product = set(strong_resolving_graph(P).edges())
+    direct = product(strong_resolving_graph(G), strong_resolving_graph(H), "direct")
+    in_direct = set(direct.edges())
+    ok = in_product == in_direct
     reports.append(
-        LawReport(
-            "cartesian-srg-direct-identity",
-            name,
-            ok,
+        _report(
+            "cartesian-srg-direct-identity", name, ok,
             "SRG of product == direct product of factor SRGs (edge sets)",
-            "edge sets equal" if ok else "edge sets differ",
-            None
-            if ok
-            else {
-                "only_in_product_srg": sorted(
-                    set(srg_product.edges()) - set(srg_direct.edges())
-                ),
-                "only_in_direct": sorted(
-                    set(srg_direct.edges()) - set(srg_product.edges())
-                ),
-            },
+            "edge sets equal" if ok else "edge sets differ", P,
+            only_in_product_srg=in_product - in_direct,
+            only_in_direct=in_direct - in_product,
         )
     )
 
@@ -495,7 +457,7 @@ def _measure(G: Graph, key: str):
     bet, member, levels = interval_masks(D), _membership(G.n), _levels(G.n)
     found = {}
     for variant in VARIANTS:
-        best, tops = _largest(_pair_table(bet, _VARIANT_RULES[variant], member), levels)
+        best, tops = _largest(_pair_table(bet, variant, member), levels)
         found[variant] = (best, {frozenset(bits(mask)) for mask in bits(tops)})
     return found
 

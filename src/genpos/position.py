@@ -601,16 +601,16 @@ def _largest(table: int, levels) -> tuple:
 
 
 # Which pairs u, v of the graph a subset X must keep free of its own
-# members, by whether u and v lie in X, on membership tables.  The result
-# is ANDed with a table, so a negative int here stands for its low 2**n
-# bits.  "any pair" needs no membership and is handled apart.
+# members, by whether u and v lie in X, on membership tables: one rule
+# per variant but total, whose rule takes every pair, and one for the
+# subsets with a convex complement.  The result is ANDed with a table,
+# so a negative int here stands for its low 2**n bits.
 _PAIR_RULES = {
-    "both in": lambda in_u, in_v: in_u & in_v,
-    "either in": lambda in_u, in_v: in_u | in_v,
-    "same side": lambda in_u, in_v: ~(in_u ^ in_v),
-    "neither in": lambda in_u, in_v: ~(in_u | in_v),
+    "gp": lambda in_u, in_v: in_u & in_v,
+    "outer": lambda in_u, in_v: in_u | in_v,
+    "dual": lambda in_u, in_v: ~(in_u ^ in_v),
+    "convex complement": lambda in_u, in_v: ~(in_u | in_v),
 }
-_VARIANT_RULES = dict(zip(VARIANTS, ("both in", "any pair", "either in", "same side")))
 
 
 def _pair_table(bet, rule: str, member) -> int:
@@ -619,9 +619,9 @@ def _pair_table(bet, rule: str, member) -> int:
     iff no pair u, v selected by ``rule`` has a member of X strictly
     between u and v.
 
-    The variants are the rules "both in" (gp), "any pair" (total),
-    "either in" (outer) and "same side" (dual); "neither in" holds
-    exactly for the subsets with a convex complement.
+    ``rule`` is a variant name, which gives that variant's table, or
+    "convex complement", which holds exactly for the subsets whose
+    complement is convex.
     """
     full = (1 << (1 << len(bet))) - 1
 
@@ -629,7 +629,7 @@ def _pair_table(bet, rule: str, member) -> int:
         # the subsets that hold a vertex of b
         return reduce(or_, map(member.__getitem__, bits(b)), 0)
 
-    if rule == "any pair":
+    if rule == "total":
         # every pair counts, so X must avoid the union of all interiors
         return full & ~meets(reduce(or_, chain.from_iterable(bet), 0))
     combine = _PAIR_RULES[rule]
@@ -651,7 +651,7 @@ def variant_feasibility(D: DistMatrix, variant: str) -> int:
     """
     _check_variant(variant)
     member = _membership(D.n)
-    return _pair_table(interval_masks(D), _VARIANT_RULES[variant], member)
+    return _pair_table(interval_masks(D), variant, member)
 
 
 def brute_force(G: Graph, variant: str, max_n: int = 18) -> Certificate:
@@ -673,7 +673,7 @@ def brute_force(G: Graph, variant: str, max_n: int = 18) -> Certificate:
         raise DisconnectedError("brute force needs a connected graph")
     member = _membership(G.n)
     bet = interval_masks(all_pairs_distances(G))
-    table = _pair_table(bet, _VARIANT_RULES[variant], member)
+    table = _pair_table(bet, variant, member)
     value, ties = _largest(table, _levels(G.n))
     witness = []
     for v, in_v in enumerate(member):

@@ -53,8 +53,8 @@ STRUCTURAL_LAWS = {
 
 @pytest.mark.parametrize(
     "spec",
-    ["path:6", "cycle:5", "cycle:6", "complete:4", "star:4", "theta:2,3,3",
-     "gm_join:5", "chain_cycles:1,4", "complete_bipartite:2,3"],
+    ["path:1", "path:2", "path:6", "cycle:5", "cycle:6", "complete:4", "star:4",
+     "theta:2,3,3", "gm_join:5", "chain_cycles:1,4", "complete_bipartite:2,3"],
 )
 def test_structural_laws_hold(spec):
     reports = check_structural(_family(spec), spec)
@@ -82,6 +82,23 @@ def test_sufficient_laws_on_named_instances():
     assert by_law["girth6-dual-zero-iff-mindeg2"][0].passed
 
 
+def test_sufficient_laws_solve_dual_once_and_only_when_one_applies(monkeypatch):
+    calls = []
+
+    def counted_solve(G, variant):
+        calls.append(variant)
+        return solve(G, variant)
+
+    monkeypatch.setattr(genpos.laws, "solve", counted_solve)
+    # cycle:8 has girth 8 and every edge inner: both laws apply
+    assert all(r.passed for r in check_sufficient(_family("cycle:8")))
+    assert calls == ["dual"]
+    # complete:4 has girth 3 and no inner edge: both laws are vacuous
+    calls.clear()
+    assert all(r.passed for r in check_sufficient(_family("complete:4")))
+    assert calls == []
+
+
 def test_sufficient_size_cap():
     with pytest.raises(SizeError):
         check_sufficient(_family("cycle:19"))
@@ -102,6 +119,26 @@ def test_product_laws_on_named_pairs(a, b, dual):
     assert all(r.passed for r in reports), [r.law for r in reports if not r.passed]
     by_law = _by_law(reports)
     assert by_law["cartesian-dual-characterization"][0].actual == f"dual={dual}"
+
+
+def test_srg_product_identity_failure_replays(monkeypatch):
+    # with the SRG taken as the graph itself the identity compares the
+    # cartesian and the direct product, whose edge sets are disjoint
+    monkeypatch.setattr(genpos.laws, "strong_resolving_graph", lambda G: G)
+    A, B = _family("path:3"), _family("complete:2")
+    (report,) = [
+        r
+        for r in check_products(A, B, "path:3 x complete:2")
+        if r.law == "cartesian-srg-direct-identity"
+    ]
+    assert not report.passed and report.actual == "edge sets differ"
+    ce = report.counterexample
+    P = product(A, B, "cartesian")
+    assert build_graph(ce["n"], [tuple(e) for e in ce["edges"]]) == P
+    direct = set(product(A, B, "direct").edges())
+    assert ce["only_in_product_srg"] == sorted(set(P.edges()) - direct)
+    assert ce["only_in_direct"] == sorted(direct - set(P.edges()))
+    assert ce["only_in_product_srg"] and ce["only_in_direct"]
 
 
 def test_product_laws_validate_factors():
@@ -240,6 +277,39 @@ def test_same_family_names_the_lowest_differing_mask_where_allowed():
         "offending_set"
     ] == [0, 1]
     assert _same_family("law", "path:3", G, "equal", lhs, rhs, where=rhs).passed
+    # a third table: the lowest mask where either of the others differs
+    # from the first, whichever of them it is
+    high = rhs | 1 << 0b110
+    low = rhs | 1 << 0b101
+    three = _same_family("law", "path:3", G, "equal", rhs, high, low)
+    assert three.counterexample["offending_set"] == [0, 2]
+    three = _same_family("law", "path:3", G, "equal", rhs, rhs, high)
+    assert three.counterexample["offending_set"] == [1, 2]
+    assert _same_family("law", "path:3", G, "equal", rhs, rhs, rhs).passed
+
+
+@pytest.mark.parametrize(
+    "target,replacement,law,offending",
+    [
+        # {0, 1} is a dual edge of path:5, so the condition must hold there
+        ("_adjacent_pair_literal", lambda G, D, x, y: False,
+         "adjacent-pair-three-way", [0, 1]),
+        # {0, 4}, the two ends, is the one dual non-edge of path:5
+        ("simplicial_set", lambda G: VertexSet(G.n, ()),
+         "nonadjacent-pair-simplicial", [0, 4]),
+    ],
+    ids=["adjacent", "nonadjacent"],
+)
+def test_pair_laws_fail_with_a_replayable_pair(
+    monkeypatch, target, replacement, law, offending
+):
+    monkeypatch.setattr(genpos.laws, target, replacement)
+    G = _family("path:5")
+    (report,) = [r for r in check_structural(G, "path:5") if r.law == law]
+    assert not report.passed and report.actual == "families differ"
+    ce = report.counterexample
+    assert ce["offending_set"] == offending
+    assert build_graph(ce["n"], [tuple(e) for e in ce["edges"]]) == G
 
 
 def test_family_laws_fail_on_wrong_values(monkeypatch):

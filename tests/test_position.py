@@ -287,8 +287,8 @@ def test_feasibility_table_matches_predicate(spec, spec_graph):
     seed=st.integers(min_value=0, max_value=10**6),
 )
 def test_feasibility_table_matches_predicate_random(n, p, seed):
-    # the "both in", "either in" and "same side" rules combine membership
-    # tables with plain operators, "same side" through a negative int;
+    # the gp, outer and dual rules combine membership tables with plain
+    # operators, dual through a negative int;
     # graphs with nonzero betweenness rows exercise each of them against
     # the definition
     G = random_connected(n, p, seed)
