@@ -36,7 +36,7 @@ from .position import (
     _largest,
     _levels,
     _membership,
-    _pair_table,
+    _pair_tables,
     is_variant_set,
     solve,
 )
@@ -115,7 +115,7 @@ def check_structural(G: Graph, name: str | None = None) -> list[LawReport]:
     every = (1 << (1 << n)) - 1
     member = _membership(n)
     bet = interval_masks(D)
-    fam = {v: _pair_table(bet, v, member) for v in VARIANTS}
+    fam = _pair_tables(bet, member, *VARIANTS, "convex complement")
 
     simp = simplicial_set(G)
     R = strong_resolving_graph(G)
@@ -134,7 +134,6 @@ def check_structural(G: Graph, name: str | None = None) -> list[LawReport]:
             if _adjacent_pair_literal(G, D, u, v):
                 literal |= pair
     levels = _levels(n)
-    convex_complement = _pair_table(bet, "convex complement", member)
     reports = [
         _same_family(
             "total-sets-simplicial-subsets", name, G,
@@ -149,12 +148,12 @@ def check_structural(G: Graph, name: str | None = None) -> list[LawReport]:
         _same_family(
             "dual-iff-gp-convex-complement", name, G,
             "dual sets == gp sets with convex complement",
-            fam["dual"], fam["gp"] & convex_complement,
+            fam["dual"], fam["gp"] & fam["convex complement"],
         ),
         _same_family(
             "adjacent-pair-three-way", name, G,
             "adjacent {x,y}: dual iff complement convex iff neighborhood condition",
-            fam["dual"], convex_complement, literal, where=edges,
+            fam["dual"], fam["convex complement"], literal, where=edges,
         ),
         _same_family(
             "nonadjacent-pair-simplicial", name, G,
@@ -456,8 +455,8 @@ def _measure(G: Graph, key: str):
     # maximum_sets: per variant, the maximum size and the sets of that size
     bet, member, levels = interval_masks(D), _membership(G.n), _levels(G.n)
     found = {}
-    for variant in VARIANTS:
-        best, tops = _largest(_pair_table(bet, variant, member), levels)
+    for variant, table in _pair_tables(bet, member, *VARIANTS).items():
+        best, tops = _largest(table, levels)
         found[variant] = (best, {frozenset(bits(mask)) for mask in bits(tops)})
     return found
 

@@ -23,7 +23,7 @@ bitmask X qualifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain
 from operator import or_
 
@@ -159,29 +159,56 @@ def _shadow_row(G: Graph, D: DistMatrix, a: int) -> list:
     return row
 
 
-class _HalfLinks(dict):
-    """``half[a][b] = bet[a][b] | sh[a][b]``: the vertices w such that a
-    is an end of a geodesic through all of a, b and w.  Each row is
-    built on first use.
+class _Search(dict):
+    """Every table a gp or dual solve of G reads, built once: ``D``,
+    ``bet`` (interval masks), the ``simplicial`` mask, ``parts`` (from
+    ``graphs.cut_components``) and ``cuts``, their mask.  Its items are
+    the half links, each row built on first use: ``half[a][b] =
+    bet[a][b] | sh[a][b]``, the vertices w such that a is an end of a
+    geodesic through all of a, b and w."""
 
-    The conflict link of a pair, the vertices w that make a conflict
-    triple with u and v, is ``half[u][v] | half[v][u]``.
-    """
-
-    def __init__(self, G: Graph, D: DistMatrix, bet):
-        super().__init__()
-        self.G, self.D, self.bet = G, D, bet
+    def __init__(self, G: Graph):
+        self.G = G
+        self.D = all_pairs_distances(G)
+        self.bet = interval_masks(self.D)
+        self.simplicial = simplicial_set(G).mask
+        self.parts = cut_components(G)
+        self.cuts = sum(1 << c for c in self.parts)
 
     def __missing__(self, a: int) -> list:
-        sh = _shadow_row(self.G, self.D, a)
-        row = self[a] = [s | b for s, b in zip(sh, self.bet[a])]
+        row = self[a] = list(map(or_, _shadow_row(self.G, self.D, a), self.bet[a]))
         return row
+
+    @cached_property
+    def order(self) -> list:
+        """gp's search order: descending eccentricity, ties by index."""
+        return sorted(range(self.G.n), key=lambda v: (-max(self.D.d[v]), v))
+
+    @cached_property
+    def verts(self) -> list:
+        """``order`` without the cut vertices."""
+        return [v for v in self.order if not self.cuts >> v & 1]
+
+    def links(self, v: int, xs, xmask: int) -> int:
+        """The OR over u in ``xs``, whose mask is ``xmask``, of the
+        conflict link ``half[v][u] | half[u][v]``, with the shortcuts of
+        the kernel's include: ``half[a][b]`` is ``bet[a][b]`` for a
+        simplicial b, and that lies in ``half[b][a]``.  So a simplicial v
+        needs no ``half[u][v]``, and ``bet[v]`` serves for ``half[v]``
+        when every u is simplicial."""
+        hv = self[v] if xmask & ~self.simplicial else self.bet[v]
+        out = 0
+        if self.simplicial >> v & 1:
+            for u in xs:
+                out |= hv[u]
+        else:
+            for u in xs:
+                out |= hv[u] | self[u][v]
+        return out
 
 
 def _branch_and_bound(
-    bet,
-    half,
-    simplicial: int,
+    search: _Search,
     order,
     dual: bool,
     floor: int,
@@ -192,18 +219,18 @@ def _branch_and_bound(
 ):
     """Include-first branch and bound over the downward-closed gp sets.
 
-    Feasibility is a 3-uniform conflict system: the triples (u, x, v)
-    with x strictly between u and v (bet[u][v] holds x).  A set is
-    feasible iff it contains no full triple.  When v joins the chosen
-    set, the search forbids for each chosen u the whole conflict link
-    ``half[v][u] | half[u][v]`` of the pair: the vertices between u and
-    v, the vertices w with u between v and w, and those with v between u
-    and w.  Every vertex that is not forbidden can then be added without
-    a conflict, so no conflict test runs, and the bound, the number of
-    vertices later in ``order`` that are not forbidden, is the true
-    candidate count.  A simplicial vertex lies inside no geodesic, so
-    ``half[a][b]`` is just ``bet[a][b]`` for b in the ``simplicial``
-    mask; pairs of simplicial vertices build no rows at all.
+    Feasibility is a 3-uniform conflict system on the tables of
+    ``search``: the triples (u, x, v) with x strictly between u and v
+    (bet[u][v] holds x).  A set is feasible iff it contains no full
+    triple.  When v joins the chosen set, the search forbids for each
+    chosen u the whole conflict link ``half[v][u] | half[u][v]`` of the
+    pair: the vertices between u and v, the vertices w with u between v
+    and w, and those with v between u and w.  Every vertex not forbidden
+    can then be added without a conflict, so no conflict test runs, and
+    the bound, the number of vertices later in ``order`` not forbidden,
+    is the true candidate count.  A simplicial vertex lies inside no
+    geodesic, so ``half[a][b]`` is just ``bet[a][b]`` for b in the
+    ``simplicial`` mask; pairs of simplicial vertices build no rows.
 
     The dual sets are exactly the gp sets with a convex complement.
     Every vertex the search excludes, forbidden or passed over after its
@@ -251,6 +278,7 @@ def _branch_and_bound(
     vertices.  Including v pushes the running frame and appends v; when
     the child ends, the frame is popped and excludes ``v = xs.pop()``.
     """
+    bet, half, simplicial = search.bet, search, search.simplicial
     n = len(order)
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -327,7 +355,8 @@ def solve(G: Graph, variant: str) -> Certificate:
     clique of the strong resolving graph; outer works on that graph's
     neighbour masks alone, from one bit-parallel BFS over the 2-core,
     and builds no distance table and no Graph.  gp and dual run the same
-    branch and bound over the betweenness conflicts.  Each chosen pair
+    branch and bound over the betweenness conflicts, on tables that the
+    solve builds once, in one object (``_Search``).  Each chosen pair
     forbids its whole conflict link, so every vertex not forbidden is
     addable; the shadow rows behind the link are built on first use and
     shared by every run, and pairs of simplicial vertices need none.
@@ -363,23 +392,14 @@ def solve(G: Graph, variant: str) -> Certificate:
     if variant == "outer":
         size, witness = _maximum_clique(_strong_resolving_rows(G))
         return Certificate("outer", size, VertexSet(G.n, witness), "clique")
-    simp = simplicial_set(G)
     if variant == "total":
+        simp = simplicial_set(G)
         return Certificate("total", len(simp), simp, "closed_form")
-    n = G.n
-    D = all_pairs_distances(G)
-    bet = interval_masks(D)
-    half = _HalfLinks(G, D, bet)
-    if variant == "dual":
-        value, witness = _dual(G, bet, half, simp.mask)
-    else:
-        ecc = [max(row) for row in D.d]
-        order = sorted(range(n), key=lambda v: (-ecc[v], v))
-        value, witness = _gp(G, bet, half, simp.mask, order)
-    return Certificate(variant, value, VertexSet(n, witness), "branch_and_bound")
+    value, witness = (_gp if variant == "gp" else _dual)(_Search(G))
+    return Certificate(variant, value, VertexSet(G.n, witness), "branch_and_bound")
 
 
-def _gp(G: Graph, bet, half, simplicial: int, order):
+def _gp(search: _Search):
     """gp value and lexicographically least witness.
 
     Exchange lemma: a gp set S holding a cut vertex c meets only one
@@ -388,8 +408,8 @@ def _gp(G: Graph, bet, half, simplicial: int, order):
     each geodesic from S - c to w passes through c, so a member of S
     inside it would already lie between its end and c.  Every component
     holds a vertex that is not a cut vertex, so the value pass runs over
-    the non-cut vertices ``verts`` alone, in ``order``, with every cut
-    vertex forbidden.
+    the non-cut vertices ``search.verts`` alone, in ``search.order``, with
+    every cut vertex forbidden.
 
     The value pass is a Russian-doll search (Verfaillie, Lemaitre and
     Schiex, AAAI 1996; Ostergard's maximum clique, Discrete Appl. Math.
@@ -407,18 +427,15 @@ def _gp(G: Graph, bet, half, simplicial: int, order):
     prefix decisions (``graphs._lex_least``), each a pinned run of the
     same search bounded by the same table (``_gp_decisions``).
     """
-    parts = cut_components(G)
-    cuts = sum(1 << c for c in parts)
-    doll, first = _gp_doll(bet, half, simplicial, order, cuts)
-    decide = _gp_decisions(bet, half, simplicial, order, parts, doll)
-    return doll[0], _lex_least(len(order), doll[0], first, decide)
+    doll, first = _gp_doll(search)
+    decide = _gp_decisions(search, doll)
+    return doll[0], _lex_least(search.G.n, doll[0], first, decide)
 
 
-def _gp_doll(bet, half, simplicial: int, order, cuts: int):
+def _gp_doll(search: _Search):
     """The Russian-doll table of ``_gp`` and the mask of one optimum:
-    ``doll[i]`` is the size of the largest gp set inside ``verts[i:]``,
-    where ``verts`` lists the vertices of ``order`` outside ``cuts``."""
-    verts = [v for v in order if not cuts >> v & 1]
+    ``doll[i]`` is the largest size of a gp set in ``search.verts[i:]``."""
+    verts, cuts = search.verts, search.cuts
     doll = [0] * (len(verts) + 1)
     best, held, links = [], 0, 0  # the last optimum, its mask, its links
     for i in range(len(verts) - 1, -1, -1):
@@ -430,41 +447,23 @@ def _gp_doll(bet, half, simplicial: int, order, cuts: int):
             c = doll[i + 1]
             rest = verts[i + 1 :]
             _, new = _branch_and_bound(
-                bet, half, simplicial, rest, False, c, c + 1, new, cuts, doll[i + 1 :]
+                search, rest, False, c, c + 1, new, cuts, doll[i + 1 :]
             )
             if new:
                 best, held, links = [], 0, 0
         for u in new:
-            links |= _links(bet, half, simplicial, u, best, held)
+            links |= search.links(u, best, held)
             best.append(u)
             held |= 1 << u
         doll[i] = len(best)
     return doll, held
 
 
-def _links(bet, half, simplicial: int, v: int, xs, xmask: int) -> int:
-    """The OR over u in ``xs``, whose mask is ``xmask``, of the conflict
-    link ``half[v][u] | half[u][v]``, with the shortcuts of the kernel's
-    include: ``half[a][b]`` is ``bet[a][b]`` for a simplicial b, and that
-    lies in ``half[b][a]``.  So a simplicial v needs no ``half[u][v]``,
-    and ``bet[v]`` serves for ``half[v]`` when every u is simplicial."""
-    hv = half[v] if xmask & ~simplicial else bet[v]
-    out = 0
-    if simplicial >> v & 1:
-        for u in xs:
-            out |= hv[u]
-    else:
-        for u in xs:
-            out |= hv[u] | half[u][v]
-    return out
-
-
-def _gp_decisions(bet, half, simplicial: int, order, parts: dict, doll):
+def _gp_decisions(search: _Search, doll):
     """The decision of ``_lex_least`` for gp: ``decide(v, pins,
     rejected)`` returns the mask of a gp set of size ``doll[0]``, the
     value, that holds the pins and v and no rejected vertex, or 0.
-    ``parts`` maps each cut vertex to the components of G - c, ``pins``
-    must be a gp set and ``doll`` is the table of ``_gp_doll``.
+    ``pins`` must be a gp set and ``doll`` is the table of ``_gp_doll``.
 
     Each call is a run of the value search started from the pins and v.
     It may still forbid a cut vertex c outside them when two or more
@@ -476,9 +475,8 @@ def _gp_decisions(bet, half, simplicial: int, order, parts: dict, doll):
     conflict links of the pins grow with the pins, as the list is only
     ever extended.
     """
-    cuts = sum(1 << c for c in parts)
+    order, verts, parts, cuts = search.order, search.verts, search.parts, search.cuts
     value = doll[0]
-    verts = [v for v in order if not cuts >> v & 1]
     at = {v: i for i, v in enumerate(verts)}
     linked = [0, 0, 0]  # pins linked so far, their mask, their links
     ruled = {}  # rejected non-cut vertices -> cut vertices a swap frees
@@ -486,12 +484,12 @@ def _gp_decisions(bet, half, simplicial: int, order, parts: dict, doll):
     def decide(v, pins, rejected):
         count, held, forb = linked
         for k in range(count, len(pins)):
-            forb |= _links(bet, half, simplicial, pins[k], pins[:k], held)
+            forb |= search.links(pins[k], pins[:k], held)
             held |= 1 << pins[k]
         linked[:] = len(pins), held, forb
         if forb >> v & 1:
             return 0
-        forb |= _links(bet, half, simplicial, v, pins, held)
+        forb |= search.links(v, pins, held)
         held |= 1 << v
         gone = rejected & ~cuts
         if gone not in ruled:
@@ -513,14 +511,14 @@ def _gp_decisions(bet, half, simplicial: int, order, parts: dict, doll):
                 top = at[u]
             cap[j] = doll[top] + loose
         size, members = _branch_and_bound(
-            bet, half, simplicial, rest, False, value - 1, value, pins + [v], forb, cap
+            search, rest, False, value - 1, value, pins + [v], forb, cap
         )
         return sum(1 << u for u in members) if size == value else 0
 
     return decide
 
 
-def _dual(G: Graph, bet, half, simplicial: int):
+def _dual(search: _Search):
     """dual value and lexicographically least witness.
 
     A dual set S holding a cut vertex c meets one component C of G - c
@@ -535,10 +533,7 @@ def _dual(G: Graph, bet, half, simplicial: int):
     The exchange lemma of ``_gp`` does not hold for dual: the swap can
     break the convexity of the complement.
     """
-    n = G.n
-    nbr = G.neighbor_masks
-    parts = cut_components(G)
-    cuts = sum(1 << c for c in parts)
+    n, nbr, parts = search.G.n, search.G.neighbor_masks, search.parts
 
     def clique(mask):
         return all(not mask & ~nbr[v] & ~(1 << v) for v in bits(mask))
@@ -550,9 +545,7 @@ def _dual(G: Graph, bet, half, simplicial: int):
         for comp, other in (comps, comps[::-1])
         if clique(comp | 1 << c) and clique(nbr[c] & other)
     ]
-    value, witness = _branch_and_bound(
-        bet, half, simplicial, range(n), True, 0, n, forb=cuts
-    )
+    value, witness = _branch_and_bound(search, range(n), True, 0, n, forb=search.cuts)
     top = max([value, *map(int.bit_count, apart)])
     candidates = [tuple(bits(S)) for S in apart if S.bit_count() == top]
     if value == top:
@@ -613,33 +606,40 @@ _PAIR_RULES = {
 }
 
 
-def _pair_table(bet, rule: str, member) -> int:
-    """Table over all 2**n subsets X of the vertices of ``bet`` (an
-    interval_masks table), with ``member = _membership(n)``: X is in it
-    iff no pair u, v selected by ``rule`` has a member of X strictly
-    between u and v.
-
-    ``rule`` is a variant name, which gives that variant's table, or
-    "convex complement", which holds exactly for the subsets whose
-    complement is convex.
+def _pair_tables(bet, member, *rules) -> dict:
+    """Tables over all 2**n subsets X of the vertices of ``bet`` (an
+    interval_masks table), with ``member = _membership(n)``, keyed by
+    rule in the order given: X is in a rule's table iff no pair u, v the
+    rule selects has a member of X strictly between u and v.  A rule is
+    a variant name or "convex complement", which holds exactly for the
+    subsets whose complement is convex.  One pass over the pairs serves
+    every rule, so each interval becomes a table once.
     """
     full = (1 << (1 << len(bet))) - 1
 
     def meets(b):
         # the subsets that hold a vertex of b
-        return reduce(or_, map(member.__getitem__, bits(b)), 0)
+        out = 0
+        for w in bits(b):
+            out |= member[w]
+        return out
 
-    if rule == "total":
+    bad = dict.fromkeys(rules, 0)
+    if "total" in bad:
         # every pair counts, so X must avoid the union of all interiors
-        return full & ~meets(reduce(or_, chain.from_iterable(bet), 0))
-    combine = _PAIR_RULES[rule]
-    bad = 0
-    for u, row in enumerate(bet):
-        in_u = member[u]
-        for v in range(u + 1, len(bet)):
-            if row[v]:
-                bad |= meets(row[v]) & combine(in_u, member[v])
-    return full & ~bad
+        bad["total"] = meets(reduce(or_, chain.from_iterable(bet), 0))
+    combines = [(rule, _PAIR_RULES[rule]) for rule in bad if rule != "total"]
+    if combines:
+        for u, row in enumerate(bet):
+            in_u = member[u]
+            for v in range(u + 1, len(bet)):
+                if row[v]:
+                    inside, in_v = meets(row[v]), member[v]
+                    for rule, combine in combines:
+                        bad[rule] |= inside & combine(in_u, in_v)
+    for rule in bad:
+        bad[rule] = full & ~bad[rule]
+    return bad
 
 
 def variant_feasibility(D: DistMatrix, variant: str) -> int:
@@ -651,7 +651,7 @@ def variant_feasibility(D: DistMatrix, variant: str) -> int:
     """
     _check_variant(variant)
     member = _membership(D.n)
-    return _pair_table(interval_masks(D), variant, member)
+    return _pair_tables(interval_masks(D), member, variant)[variant]
 
 
 def brute_force(G: Graph, variant: str, max_n: int = 18) -> Certificate:
@@ -673,7 +673,7 @@ def brute_force(G: Graph, variant: str, max_n: int = 18) -> Certificate:
         raise DisconnectedError("brute force needs a connected graph")
     member = _membership(G.n)
     bet = interval_masks(all_pairs_distances(G))
-    table = _pair_table(bet, variant, member)
+    table = _pair_tables(bet, member, variant)[variant]
     value, ties = _largest(table, _levels(G.n))
     witness = []
     for v, in_v in enumerate(member):

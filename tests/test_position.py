@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 from unittest import mock
 
@@ -14,7 +15,6 @@ from genpos import (
     brute_force,
     build_graph,
     generate,
-    interval_masks,
     is_convex,
     is_positionable,
     is_variant_set,
@@ -31,8 +31,8 @@ from genpos.errors import (
     EmptySetError,
     SizeError,
 )
-from genpos.graphs import bits, cut_components
-from genpos.position import _gp_decisions, _gp_doll, _HalfLinks, _levels
+from genpos.graphs import bits
+from genpos.position import _gp_decisions, _gp_doll, _levels, _Search
 
 
 def _family(text):
@@ -425,38 +425,26 @@ def test_solver_oracle_agreement_glued_at_a_cut_vertex(
         )
 
 
-def _gp_search_inputs(G):
-    # what solve builds for the gp search: the distance and interval
-    # tables, the links, the simplicial mask and the vertices in
-    # descending eccentricity
-    D = all_pairs_distances(G)
-    bet = interval_masks(D)
-    ecc = [max(row) for row in D.d]
-    order = sorted(range(G.n), key=lambda v: (-ecc[v], v))
-    return D, bet, _HalfLinks(G, D, bet), simplicial_set(G).mask, order
-
-
 def _doll_against_the_oracle(G):
-    # doll[i] of the gp value pass must be the largest gp set inside
-    # verts[i:], read from the oracle's table; returns how many of the
-    # positions were filled by extending the last optimum and how many
-    # by a search
-    D, bet, half, simplicial, order = _gp_search_inputs(G)
-    cuts = sum(1 << c for c in cut_components(G))
+    # doll[i] of the gp value pass, on the search object that solve
+    # builds, must be the largest gp set inside search.verts[i:], read
+    # from the oracle's table; returns how many of the positions were
+    # filled by extending the last optimum and how many by a search
+    search = _Search(G)
     with mock.patch.object(
         position, "_branch_and_bound", wraps=position._branch_and_bound
     ) as runs:
-        doll, first = _gp_doll(bet, half, simplicial, order, cuts)
-    verts = [v for v in order if not cuts >> v & 1]
-    gp_sets = list(bits(variant_feasibility(D, "gp")))
+        doll, first = _gp_doll(search)
+    gp_sets = list(bits(variant_feasibility(search.D, "gp")))
     want, inside = [0], 0
-    for v in reversed(verts):
+    for v in reversed(search.verts):
         inside |= 1 << v
         want.append(max(X.bit_count() for X in gp_sets if not X & ~inside))
     assert doll == want[::-1]
-    assert first in gp_sets and first.bit_count() == doll[0] and not first & cuts
+    assert first in gp_sets and first.bit_count() == doll[0]
+    assert not first & search.cuts
     assert doll[0] == brute_force(G, "gp").value
-    return len(verts) - runs.call_count, runs.call_count
+    return len(search.verts) - runs.call_count, runs.call_count
 
 
 @settings(max_examples=40, deadline=None)
@@ -500,16 +488,16 @@ def test_gp_decisions_with_pins_against_the_oracle_table(
 ):
     # one prefix decision of the gp witness, from drawn pins (a subset of
     # a drawn gp set), a drawn vertex v and a drawn rejected set, built
-    # as _gp builds it: its run forbids the cut vertices that the
-    # exchange lemma frees, is bounded by the Russian-doll table plus one
-    # for each cut vertex it leaves free, and must still find a gp set
-    # of the value exactly when one exists
+    # as _gp builds it, on the search object that solve builds: its run
+    # forbids the cut vertices that the exchange lemma frees, is bounded
+    # by the Russian-doll table plus one for each cut vertex it leaves
+    # free, and must still find a gp set of the value exactly when one
+    # exists
     G = _glued(a, b, seed, tree_a, tree_b, data)
     n = G.n
-    D, bet, half, simplicial, order = _gp_search_inputs(G)
-    parts = cut_components(G)
-    doll, _ = _gp_doll(bet, half, simplicial, order, sum(1 << c for c in parts))
-    table = variant_feasibility(D, "gp")
+    search = _Search(G)
+    doll, _ = _gp_doll(search)
+    table = variant_feasibility(search.D, "gp")
     levels = _levels(n)
     value = max(k for k, level in enumerate(levels) if table & level)
     assert doll[0] == value
@@ -528,12 +516,46 @@ def test_gp_decisions_with_pins_against_the_oracle_table(
             for X in bits(table & levels[value])
             if X & need == need and not X & rejected
         ]
-        decide = _gp_decisions(bet, half, simplicial, order, parts, doll)
+        decide = _gp_decisions(search, doll)
         found = decide(v, pins, rejected)
         assert bool(found) == bool(want), (pins, v, rejected)
         if found:
             assert table >> found & 1 and found.bit_count() == value
             assert found & need == need and not found & rejected
+
+
+@pytest.mark.parametrize(
+    "spec", ["random_connected:30,0.15,2", "cartesian:path:7|path:7"]
+)
+@pytest.mark.parametrize("variant", ["gp", "dual"])
+def test_gp_and_dual_build_each_table_once(spec, variant, spec_graph):
+    # one search object per solve builds the tables that every kernel
+    # run, the Russian-doll pass and the witness decisions read; only gp
+    # sorts the vertices by eccentricity
+    G = spec_graph(spec)
+    builders = (
+        "all_pairs_distances",
+        "interval_masks",
+        "simplicial_set",
+        "cut_components",
+    )
+    with contextlib.ExitStack() as stack:
+        calls = {
+            name: stack.enter_context(
+                mock.patch.object(position, name, wraps=getattr(position, name))
+            )
+            for name in builders
+        }
+        run = "_" + variant
+        top = stack.enter_context(
+            mock.patch.object(position, run, wraps=getattr(position, run))
+        )
+        solve(G, variant)
+    assert {name: spy.call_count for name, spy in calls.items()} == dict.fromkeys(
+        builders, 1
+    )
+    (search,) = top.call_args.args
+    assert ("order" in vars(search)) == (variant == "gp")
 
 
 @pytest.mark.parametrize(
