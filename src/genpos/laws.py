@@ -1,15 +1,15 @@
 """Machine-checkable laws tying the four invariants together.
 
 Each check evaluates one statement on one instance and returns a
-LawReport.  Every structural law but the last is one comparison of
-subset tables on a small graph, the pair laws included, whose tables
-hold 2-subsets; sufficient-condition and family laws compare solver
-output against closed-form expectations; product laws exercise the
-cartesian product identities.  Every failing report carries a replayable
-payload: the vertex count and edge list of the graph, and the offending
-sets.  A family of subsets is a table over all 2**n subset masks, one
-Python int with bit X set iff the subset with bitmask X is in the
-family.
+LawReport.  The structural laws read only subset tables of a small
+graph: all but the last compare tables, the pair laws on tables of
+2-subsets, and the last reads the dual value off the dual table.  Every
+value law (family, sufficient-condition, product) is a row of expected
+values that one loop, ``_value_reports``, measures and reports.  Every
+failing report carries a replayable payload: the vertex count and edge
+list of the graph, and the offending sets.  A family of subsets is a
+table over all 2**n subset masks, one Python int with bit X set iff the
+subset with bitmask X is in the family.
 """
 
 from __future__ import annotations
@@ -92,6 +92,77 @@ def _is_complete(G: Graph) -> bool:
     return G.m == G.n * (G.n - 1) // 2
 
 
+# ---------------------------------------------------------------- value laws
+
+
+def _measure(G: Graph, key: str, memo: dict):
+    """One observed quantity of G: a variant's value, ``diameter``,
+    ``girth``, ``min_degree``, ``inner_edge`` (some edge is the middle of
+    an isometric P4), ``all_inner`` (G has edges and every one is) or
+    ``maximum_sets``.  ``memo`` keeps G's distance table between keys."""
+    if key in VARIANTS:
+        return solve(G, key).value
+    if key == "min_degree":
+        return min(map(len, G.adj), default=0)
+    if "distances" not in memo:
+        memo["distances"] = all_pairs_distances(G)
+    D = memo["distances"]
+    if key == "diameter":
+        return D.diameter
+    if key == "girth":
+        return girth(G, D)
+    if key == "inner_edge":
+        return any(is_p4_inner_isometric(G, D, x, y) for x, y in G.edges())
+    if key == "all_inner":
+        return G.m > 0 and all(is_p4_inner_isometric(G, D, x, y) for x, y in G.edges())
+    # maximum_sets: per variant, the maximum size and the sets of that size
+    bet, member, levels = interval_masks(D), _membership(G.n), _levels(G.n)
+    found = {}
+    for variant, table in _pair_tables(bet, member, *VARIANTS).items():
+        best, tops = _largest(table, levels)
+        found[variant] = (best, {frozenset(bits(mask)) for mask in bits(tops)})
+    return found
+
+
+def _shown(actual: dict, ok: bool) -> str:
+    """The report's actual text: all four values print as one dict."""
+    if "maximum_sets" in actual:
+        return "families as expected" if ok else str(actual["maximum_sets"])
+    if tuple(actual) == VARIANTS:
+        return str(actual)
+    return ", ".join([f"{key}={value}" for key, value in actual.items()])
+
+
+def _value_reports(rows) -> list[LawReport]:
+    """One report per row (law, instance, graph, expected text, expected).
+
+    ``expected`` maps each key that ``_measure`` observes to its expected
+    value, and a range accepts any of its members.  It may instead be a
+    function that builds that map from ``look``, which measures a key of
+    the row's graph, so that a premise decides what is measured.
+    Consecutive rows of one graph measure each key once.
+    """
+    reports, graph, memo = [], None, {}
+
+    def look(key):
+        if key not in memo:
+            memo[key] = _measure(graph, key, memo)
+        return memo[key]
+
+    for law, instance, G, text, expected in rows:
+        if G is not graph:
+            graph = G
+            memo.clear()
+        if callable(expected):
+            expected = expected(look)
+        actual, ok = {}, True
+        for key, want in expected.items():
+            value = actual[key] = look(key)
+            ok = ok and (value in want if isinstance(want, range) else value == want)
+        reports.append(_report(law, instance, ok, text, _shown(actual, ok), G))
+    return reports
+
+
 # ---------------------------------------------------------------- structural
 
 
@@ -104,7 +175,8 @@ def check_structural(G: Graph, name: str | None = None) -> list[LawReport]:
     complement; the three-way equivalence for adjacent pairs; the
     simplicial characterization for nonadjacent pairs; and value 1 of the
     dual invariant forcing a unique simplicial vertex.  All but the last
-    compare subset tables, the pair laws on the tables of 2-subsets.
+    compare subset tables, the pair laws on the tables of 2-subsets; the
+    last reads the dual value off the dual table, so no solver runs.
     """
     if G.n > 12:
         raise SizeError(f"structural checks capped at n <= 12, got {G.n}")
@@ -119,7 +191,9 @@ def check_structural(G: Graph, name: str | None = None) -> list[LawReport]:
 
     simp = simplicial_set(G)
     R = strong_resolving_graph(G)
-    outside = reduce(or_, (member[w] for w in bits(full & ~simp.mask)), 0)
+    outside = 0
+    for w in bits(full & ~simp.mask):
+        outside |= member[w]
     # apart: the subsets holding a pair that is not mutually maximally
     # distant; edges, literal and others: tables of 2-subsets
     apart = edges = literal = others = 0
@@ -162,7 +236,7 @@ def check_structural(G: Graph, name: str | None = None) -> list[LawReport]:
         ),
     ]
 
-    dual_value = solve(G, "dual").value
+    dual_value = _largest(fam["dual"], levels)[0]
     ok = dual_value != 1 or len(simp) == 1
     reports.append(
         _report(
@@ -209,45 +283,27 @@ def check_sufficient(G: Graph, name: str | None = None) -> list[LawReport]:
     """
     if G.n > 18:
         raise SizeError(f"sufficient-condition checks capped at n <= 18, got {G.n}")
-    D = all_pairs_distances(G)
     name = name or f"graph(n={G.n},m={G.m})"
-    reports = []
 
-    all_inner = G.m > 0 and all(
-        is_p4_inner_isometric(G, D, x, y) for x, y in G.edges()
-    )
-    g = girth(G, D)
-    # one dual solve serves both laws, and none runs when both are vacuous
-    value = solve(G, "dual").value if all_inner or g >= 6 else None
-    if all_inner:
-        ok = value == 0
-        actual = f"dual={value}"
-    else:
-        ok = True
-        actual = "not all edges inner, vacuous"
-    reports.append(
-        _report(
-            "all-edges-p4-inner-dual-zero", name, ok,
-            "every edge on an isometric P4 middle implies dual 0",
-            actual, G,
-        )
-    )
+    # where a premise fails, the law expects only the failed premise, so
+    # it holds vacuously and the dual invariant is not solved for it
+    def all_inner(look):
+        return dict(dual=0) if look("all_inner") else dict(all_inner=False)
 
-    if g >= 6:
-        min_deg = min((G.degree(v) for v in range(G.n)), default=0)
-        ok = (value == 0) == (min_deg >= 2)
-        actual = f"girth={g}, min_degree={min_deg}, dual={value}"
-    else:
-        ok = True
-        actual = f"girth={g} < 6, vacuous"
-    reports.append(
-        _report(
-            "girth6-dual-zero-iff-mindeg2", name, ok,
-            "girth >= 6: dual 0 iff minimum degree >= 2",
-            actual, G,
-        )
-    )
-    return reports
+    def girth6(look):
+        g = look("girth")
+        if g < 6:
+            return dict(girth=g)
+        low = look("min_degree")
+        dual = 0 if low >= 2 else range(1, G.n + 1)
+        return dict(girth=g, min_degree=low, dual=dual)
+
+    return _value_reports([
+        ("all-edges-p4-inner-dual-zero", name, G,
+         "every edge on an isometric P4 middle implies dual 0", all_inner),
+        ("girth6-dual-zero-iff-mindeg2", name, G,
+         "girth >= 6: dual 0 iff minimum degree >= 2", girth6),
+    ])
 
 
 # ------------------------------------------------------------------ products
@@ -257,9 +313,12 @@ def _is_convex_mask(bet, mask: int) -> bool:
     """W is convex iff no interval between two members leaves W: O(|W|^2)
     ORs over an interval_masks table."""
     members = list(bits(mask))
-    return not any(
-        reduce(or_, map(bet[u].__getitem__, members), 0) & ~mask for u in members
-    )
+    for u in members:
+        row = bet[u]
+        for w in members:
+            if row[w] & ~mask:
+                return False
+    return True
 
 
 def _box_of_convex(betG, betH, nh: int, W_mask: int) -> bool:
@@ -298,47 +357,22 @@ def check_products(G: Graph, H: Graph, name: str | None = None) -> list[LawRepor
         raise SizeError(f"product checks capped at order 36, got {G.n * H.n}")
     name = name or f"product({G.n} x {H.n})"
     P = product(G, H, "cartesian")
-    reports = []
-
-    total = solve(P, "total").value
-    reports.append(
-        _report(
-            "cartesian-total-zero", name, total == 0,
-            "total invariant of a product is 0",
-            f"total={total}", P,
-        )
-    )
-
-    outer = solve(P, "outer").value
     expected_outer = min(solve(G, "outer").value, solve(H, "outer").value)
-    reports.append(
-        _report(
-            "cartesian-outer-min", name, outer == expected_outer,
-            f"outer == min over factors == {expected_outer}",
-            f"outer={outer}", P,
-        )
+    # dual is the largest order of a complete factor whose partner has a
+    # simplicial vertex, and 0 without one
+    expected_dual = max(
+        (A.n for A, B in ((G, H), (H, G)) if _is_complete(A) and len(simplicial_set(B))),
+        default=0,
     )
-
-    dual = solve(P, "dual").value
-    g_complete, h_complete = _is_complete(G), _is_complete(H)
-    g_simp = len(simplicial_set(G)) > 0
-    h_simp = len(simplicial_set(H)) > 0
-    if g_complete and h_complete:
-        expected_dual = max(G.n, H.n)
-    elif g_complete and h_simp:
-        expected_dual = G.n
-    elif h_complete and g_simp:
-        expected_dual = H.n
-    else:
-        expected_dual = 0
-    reports.append(
-        _report(
-            "cartesian-dual-characterization", name, dual == expected_dual,
-            "dual positive iff complete factor with simplicial partner; "
-            f"value {expected_dual}",
-            f"dual={dual}", P,
-        )
-    )
+    reports = _value_reports([
+        ("cartesian-total-zero", name, P,
+         "total invariant of a product is 0", dict(total=0)),
+        ("cartesian-outer-min", name, P,
+         f"outer == min over factors == {expected_outer}", dict(outer=expected_outer)),
+        ("cartesian-dual-characterization", name, P,
+         "dual positive iff complete factor with simplicial partner; "
+         f"value {expected_dual}", dict(dual=expected_dual)),
+    ])
 
     in_product = set(strong_resolving_graph(P).edges())
     direct = product(strong_resolving_graph(G), strong_resolving_graph(H), "direct")
@@ -442,41 +476,9 @@ def _family(spec: str) -> Graph:
     return generate(FamilySpec.parse(spec))[0]
 
 
-def _measure(G: Graph, key: str):
-    """One observed quantity of G: a variant's value, ``diameter``,
-    ``inner_edge`` or ``maximum_sets``."""
-    if key in VARIANTS:
-        return solve(G, key).value
-    D = all_pairs_distances(G)
-    if key == "diameter":
-        return D.diameter
-    if key == "inner_edge":
-        return any(is_p4_inner_isometric(G, D, x, y) for x, y in G.edges())
-    # maximum_sets: per variant, the maximum size and the sets of that size
-    bet, member, levels = interval_masks(D), _membership(G.n), _levels(G.n)
-    found = {}
-    for variant, table in _pair_tables(bet, member, *VARIANTS).items():
-        best, tops = _largest(table, levels)
-        found[variant] = (best, {frozenset(bits(mask)) for mask in bits(tops)})
-    return found
-
-
-def _shown(actual: dict, ok: bool) -> str:
-    """The report's actual text: all four values print as one dict."""
-    if "maximum_sets" in actual:
-        return "families as expected" if ok else str(actual["maximum_sets"])
-    if tuple(actual) == VARIANTS:
-        return str(actual)
-    return ", ".join(f"{key}={value}" for key, value in actual.items())
-
-
 def _family_rows(tree_count: int, tree_seed: int):
-    """Yield (law, instance, graph, expected text, expected) per family row.
-
-    ``expected`` maps each key that ``_measure`` observes to its expected
-    value; a range accepts any of its members.  Rows come one at a time,
-    so only one graph is alive at once.
-    """
+    """Yield the rows of ``_value_reports`` for the family laws, one at a
+    time, so only one graph is alive at once."""
     for n in range(2, 13):
         P = _family(f"path:{n}")
         text = "gp = total = outer = dual = 2"
@@ -558,14 +560,7 @@ def check_families(tree_count: int = 50, tree_seed: int = 0) -> list[LawReport]:
     vertices, chains of cycles, block graphs (trees and complete graphs),
     and outer values of strong products of complete bipartite graphs.
     """
-    reports = []
-    for law, instance, G, text, expected in _family_rows(tree_count, tree_seed):
-        actual = {key: _measure(G, key) for key in expected}
-        ok = all(
-            actual[key] in want if isinstance(want, range) else actual[key] == want
-            for key, want in expected.items()
-        )
-        reports.append(_report(law, instance, ok, text, _shown(actual, ok), G))
+    reports = _value_reports(_family_rows(tree_count, tree_seed))
     reports.append(check_dual_not_hereditary())
     return reports
 

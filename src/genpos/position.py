@@ -134,8 +134,9 @@ def is_variant_set(G: Graph, D: DistMatrix, X: VertexSet, variant: str) -> bool:
         others &= inner
         if others:
             row = _shadow_row(G, D, u)
-            if reduce(or_, map(row.__getitem__, bits(others)), 0) & partners:
-                return False
+            for w in bits(others):
+                if row[w] & partners:
+                    return False
     return True
 
 
@@ -335,7 +336,10 @@ def _branch_and_bound(
             hull |= bit
             fresh = [v]
             for w in fresh:
-                add = reduce(or_, map(bet[w].__getitem__, members), 0) & ~hull
+                row, add = bet[w], 0
+                for u in members:
+                    add |= row[u]
+                add &= ~hull
                 if add:
                     hull |= add
                     if hull & xmask:

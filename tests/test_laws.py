@@ -8,6 +8,7 @@ import genpos.laws
 from genpos import (
     FamilySpec,
     VertexSet,
+    all_pairs_distances,
     build_graph,
     check_families,
     check_products,
@@ -64,6 +65,15 @@ def test_structural_laws_hold(spec):
     assert all(r.counterexample is None for r in reports)
 
 
+def test_structural_laws_never_call_the_solver(monkeypatch):
+    def no_solve(G, variant):
+        raise AssertionError(f"solve({variant}) called")
+
+    monkeypatch.setattr(genpos.laws, "solve", no_solve)
+    for spec in genpos.laws._STRUCTURAL_SPECS:
+        assert all(r.passed for r in check_structural(_family(spec), spec)), spec
+
+
 def test_structural_size_cap():
     with pytest.raises(SizeError):
         check_structural(_family("path:13"))
@@ -97,6 +107,62 @@ def test_sufficient_laws_solve_dual_once_and_only_when_one_applies(monkeypatch):
     calls.clear()
     assert all(r.passed for r in check_sufficient(_family("complete:4")))
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "spec,inner,girth6",
+    [
+        ("cycle:8", "dual=0", "girth=8, min_degree=2, dual=0"),
+        ("path:4", "all_inner=False", "girth=inf, min_degree=1, dual=2"),
+        ("complete:4", "all_inner=False", "girth=3"),
+    ],
+)
+def test_sufficient_law_reports_name_their_measures(spec, inner, girth6):
+    # a law whose premise fails passes and names the failed premise
+    reports = check_sufficient(_family(spec), spec)
+    assert [(r.law, r.passed, r.actual) for r in reports] == [
+        ("all-edges-p4-inner-dual-zero", True, inner),
+        ("girth6-dual-zero-iff-mindeg2", True, girth6),
+    ]
+
+
+def test_value_laws_build_one_distance_table_per_graph(monkeypatch):
+    built = []
+
+    def counted(G):
+        built.append(G)
+        return all_pairs_distances(G)
+
+    monkeypatch.setattr(genpos.laws, "all_pairs_distances", counted)
+    check_sufficient(_family("cycle:8"))
+    assert len(built) == 1
+    # a join row measures dual, diameter and inner_edge of one graph
+    built.clear()
+    reports = genpos.laws._value_reports(
+        [("law", "gm_join:5", _family("gm_join:5"), "text",
+          dict(dual=0, diameter=2, inner_edge=False))]
+    )
+    assert reports[0].passed and len(built) == 1
+
+
+def test_product_value_laws_solve_each_graph_and_variant_once(monkeypatch):
+    calls = []
+
+    def counted_solve(G, variant):
+        calls.append((G, variant))
+        return solve(G, variant)
+
+    monkeypatch.setattr(genpos.laws, "solve", counted_solve)
+    G, H = _family("complete:3"), _family("path:3")
+    assert all(r.passed for r in check_products(G, H))
+    names = {"P": product(G, H, "cartesian"), "G": G, "H": H}
+    solved = Counter(
+        (next(name for name, A in names.items() if A == B), variant)
+        for B, variant in calls
+    )
+    assert solved == Counter(
+        [("P", "total"), ("P", "outer"), ("P", "dual"), ("G", "outer"), ("H", "outer")]
+    )
 
 
 def test_sufficient_size_cap():
