@@ -23,7 +23,7 @@ bitmask X qualifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain
 from operator import or_
 
@@ -163,7 +163,8 @@ def _shadow_row(G: Graph, D: DistMatrix, a: int) -> list:
 class _Search(dict):
     """Every table a gp or dual solve of G reads, built once: ``D``,
     ``bet`` (interval masks), the ``simplicial`` mask, ``parts`` (from
-    ``graphs.cut_components``) and ``cuts``, their mask.  Its items are
+    ``graphs.cut_components``), ``cuts``, their mask, and ``full``, the
+    mask of every vertex.  Its items are
     the half links, each row built on first use: ``half[a][b] =
     bet[a][b] | sh[a][b]``, the vertices w such that a is an end of a
     geodesic through all of a, b and w."""
@@ -175,20 +176,11 @@ class _Search(dict):
         self.simplicial = simplicial_set(G).mask
         self.parts = cut_components(G)
         self.cuts = sum(1 << c for c in self.parts)
+        self.full = (1 << G.n) - 1
 
     def __missing__(self, a: int) -> list:
         row = self[a] = list(map(or_, _shadow_row(self.G, self.D, a), self.bet[a]))
         return row
-
-    @cached_property
-    def order(self) -> list:
-        """gp's search order: descending eccentricity, ties by index."""
-        return sorted(range(self.G.n), key=lambda v: (-max(self.D.d[v]), v))
-
-    @cached_property
-    def verts(self) -> list:
-        """``order`` without the cut vertices."""
-        return [v for v in self.order if not self.cuts >> v & 1]
 
     def links(self, v: int, xs, xmask: int) -> int:
         """The OR over u in ``xs``, whose mask is ``xmask``, of the
@@ -210,7 +202,7 @@ class _Search(dict):
 
 def _branch_and_bound(
     search: _Search,
-    order,
+    cand: int,
     dual: bool,
     floor: int,
     ceiling: int,
@@ -223,133 +215,140 @@ def _branch_and_bound(
     Feasibility is a 3-uniform conflict system on the tables of
     ``search``: the triples (u, x, v) with x strictly between u and v
     (bet[u][v] holds x).  A set is feasible iff it contains no full
-    triple.  When v joins the chosen set, the search forbids for each
-    chosen u the whole conflict link ``half[v][u] | half[u][v]`` of the
-    pair: the vertices between u and v, the vertices w with u between v
-    and w, and those with v between u and w.  Every vertex not forbidden
-    can then be added without a conflict, so no conflict test runs, and
-    the bound, the number of vertices later in ``order`` not forbidden,
-    is the true candidate count.  A simplicial vertex lies inside no
-    geodesic, so ``half[a][b]`` is just ``bet[a][b]`` for b in the
-    ``simplicial`` mask; pairs of simplicial vertices build no rows.
+    triple.  When v joins the chosen set, the search drops from the
+    candidates, for each chosen u, the whole conflict link ``half[v][u]
+    | half[u][v]`` of the pair: the vertices between u and v, the
+    vertices w with u between v and w, and those with v between u and w.
+    Every candidate left can then be added without a conflict, so no
+    conflict test runs, and the bound, the number of candidates, is
+    exact.  A simplicial vertex lies inside no geodesic, so
+    ``half[a][b]`` is just ``bet[a][b]`` for b in the ``simplicial``
+    mask; pairs of simplicial vertices build no rows.
 
     The dual sets are exactly the gp sets with a convex complement.
-    Every vertex the search excludes, forbidden or passed over after its
-    include branch, lies in the complement of every set below that point,
-    and so does the convex hull of those vertices.  With ``dual`` the
-    search keeps that hull, grown by betweenness closure as vertices are
-    excluded, and forbids it, so the bound counts it too.  A hull that
-    meets the chosen set ends the frame: every later sibling excludes
-    the same vertices.
+    Every vertex the search excludes, dropped as a candidate or passed
+    over after its include branch, lies in the complement of every set
+    below that point, and so does the convex hull of those vertices.
+    With ``dual``, before each candidate every vertex below it outside
+    the chosen set joins that hull, grown by betweenness closure, and the
+    hull leaves the candidates, so the bound counts it too; that repeats
+    until the hull takes no more candidates.  A frame that the candidate
+    count ends anyway skips that step.  A hull that meets the chosen set
+    ends the frame: every later sibling excludes the same vertices.
 
-    A set counts only where its frame has run out of vertices uncut.
-    With ``dual`` the complement is then the hull, which is convex.
-    Returns ``(size, members)`` for the largest counted set larger than
-    ``floor``, or ``(floor, ())``.  No set grows past ``ceiling``, and
-    the search stops once a set reaches it.
+    A set counts only where its frame has run out of candidates and was
+    never cut.  With ``dual`` the complement is then the hull, which is
+    convex.  Returns ``(size, members)`` for the largest counted set
+    larger than ``floor``, or ``(floor, ())``.  No set grows past
+    ``ceiling``, and the search stops once a set reaches it.
 
-    With ``order`` ascending, include-first order reaches the sets of
-    one size in lexicographic order.  From ``floor=0`` a set counts only
-    if it is larger than every set counted before it, so of the sets of
-    the final size only the first one reached counts.  The bound cuts
-    only subtrees that cannot beat the best so far, and the hull cut
-    only subtrees without a dual set, so that set is the
-    lexicographically least optimum.  The dual search is that one run.
+    The candidates are taken lowest vertex first, so include-first order
+    reaches the sets of one size in lexicographic order.  From
+    ``floor=0`` a set counts only if it is larger than every set counted
+    before it, so of the sets of the final size only the first one
+    reached counts.  The bound cuts only subtrees that cannot beat the
+    best so far, and the hull cut only subtrees without a dual set, so
+    that set is the lexicographically least optimum.  The dual search is
+    that one run.
 
-    A gp run may pass ``doll``, one entry per position of ``order`` and
-    one past its end: ``doll[i]`` bounds the size of any gp set inside
-    ``order[i:]``.  gp sets are hereditary, so a frame at position i then
-    also ends when ``size + doll[i] <= best``, tested after the
-    candidate count at both of its sites.  Without it the search is
+    A gp run may pass ``doll``, n + 1 entries indexed by vertex:
+    ``doll[v]`` bounds the size of any gp set among the candidates at or
+    above v, and ``doll[n]`` is 0.  gp sets are hereditary, so a frame
+    whose lowest candidate is v also ends when ``size + doll[v] <=
+    best``, tested after the candidate count at both of its sites; an
+    empty mask reads index -1, the entry at n.  Without it the search is
     unchanged; dual sets are not hereditary, so the dual search has none.
 
     The search may start from a state instead of the empty set:
-    ``pins`` are chosen from the start and ``forb`` is forbidden from
-    the start; ``forb`` must hold the conflict links of every pair of
-    pins.  A gp run may leave the decided vertices out of ``order``, but
-    with ``dual`` it lists every vertex, so that each vertex outside the
-    set joins the hull.  Both variants start with the cut vertices
-    forbidden, and each prefix decision of the gp witness starts from
-    its pins (see ``_gp`` and ``_dual``).
+    ``pins`` are chosen from the start and ``forb`` leaves ``cand`` at
+    the start.  ``cand`` must not hold a pin, and ``forb`` must hold the
+    conflict links of every pair of pins.  Both variants start without
+    the cut vertices, and each prefix decision of the gp witness starts
+    from its pins (see ``_gp`` and ``_dual``).
 
     One loop on an explicit stack runs the search, so the recursion
-    limit does not bound its depth.  A frame is ``(i, xmask, forb, hull,
-    size)``: the next position in ``order``, the chosen and forbidden
-    masks, the dual hull and the number chosen; ``xs`` lists the chosen
-    vertices.  Including v pushes the running frame and appends v; when
-    the child ends, the frame is popped and excludes ``v = xs.pop()``.
+    limit does not bound its depth.  A frame is ``(cand, xmask, hull,
+    size)``: the candidates left, the chosen mask, the dual hull and the
+    number chosen; ``xs`` lists the chosen vertices.  Including v pushes
+    the running frame, without v among its candidates, and appends v;
+    when the child ends, the frame is popped and goes on with ``xs.pop()``
+    excluded.
     """
-    bet, half, simplicial = search.bet, search, search.simplicial
-    n = len(order)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | (1 << order[i])
+    bet, half, simplicial, full = search.bet, search, search.simplicial, search.full
     best = floor
     best_members = ()
     xs, stack = list(pins), []
     xmask = sum(1 << p for p in pins)
     size = len(xs)
-    i = hull = 0
+    cand &= ~forb
+    hull = 0
     while True:
+        low = cand & -cand
+        if dual and size + cand.bit_count() > best:
+            # the excluded vertices below the lowest candidate join the
+            # hull, closed under betweenness: only pairs with a vertex new
+            # to the hull can add more.  A hull meeting xmask ends the frame.
+            fresh = (low - 1 if cand else full) & ~(xmask | hull)
+            while fresh:
+                members = list(bits(hull))
+                hull |= fresh
+                while fresh:
+                    bit = fresh & -fresh
+                    fresh ^= bit
+                    w = bit.bit_length() - 1
+                    row, add = bet[w], 0
+                    for u in members:
+                        add |= row[u]
+                    add &= ~hull
+                    if add:
+                        hull |= add
+                        if hull & xmask:
+                            break
+                        fresh |= add
+                    members.append(w)
+                if hull & xmask:
+                    cand = low = 0
+                    break
+                if hull & cand:
+                    cand &= ~hull
+                    low = cand & -cand
+                    fresh = (low - 1 if cand else full) & ~(xmask | hull)
+        v = low.bit_length() - 1
         if (
-            i < n
-            and size + (suffix[i] & ~forb).bit_count() > best
-            and (not doll or size + doll[i] > best)
+            low
+            and size + cand.bit_count() > best
+            and (not doll or size + doll[v] > best)
         ):
-            v = order[i]
-            i += 1
-            bit = 1 << v
-            if size < ceiling and not forb & bit:
+            cand ^= low
+            if size < ceiling:
                 hv = half[v] if xmask & ~simplicial else bet[v]
-                grown = forb
-                if bit & simplicial:
+                grown = 0
+                if low & simplicial:
                     for u in xs:
                         grown |= hv[u]
                 else:
                     for u in xs:
                         grown |= hv[u] | half[u][v]
+                child = cand & ~grown
                 # the child's first bound test, made before it starts
-                if size + 1 + (suffix[i] & ~grown).bit_count() > best and (
-                    not doll or size + 1 + doll[i] > best
+                if size + 1 + child.bit_count() > best and (
+                    not doll
+                    or size + 1 + doll[(child & -child).bit_length() - 1] > best
                 ):
-                    stack.append((i, xmask, forb, hull, size))
+                    stack.append((cand, xmask, hull, size))
                     xs.append(v)
-                    xmask |= bit
-                    forb = grown
+                    xmask |= low
+                    cand = child
                     size += 1
-                    continue
         else:
-            # the frame ends, and counts only if it ran out of vertices
-            if i == n and size > best:
+            # the frame ends, and counts only if it ran out of candidates
+            if not cand and size > best and not hull & xmask:
                 best = size
                 best_members = tuple(xs)
             if not stack or best == ceiling:
                 return best, best_members
-            i, xmask, forb, hull, size = stack.pop()
-            v = xs.pop()
-            bit = 1 << v
-        # from here on v is excluded
-        if dual and not hull & bit:
-            # convex hull of hull + v: only pairs with a vertex new to the
-            # convex hull can add more.  A hull meeting xmask ends the frame.
-            members = list(bits(hull))
-            hull |= bit
-            fresh = [v]
-            for w in fresh:
-                row, add = bet[w], 0
-                for u in members:
-                    add |= row[u]
-                add &= ~hull
-                if add:
-                    hull |= add
-                    if hull & xmask:
-                        break
-                    fresh += bits(add)
-                members.append(w)
-            if hull & xmask:
-                i = n + 1  # the frame ends uncounted
-            else:
-                forb |= hull
+            cand, xmask, hull, size = stack.pop()
+            xs.pop()
 
 
 def solve(G: Graph, variant: str) -> Certificate:
@@ -366,23 +365,24 @@ def solve(G: Graph, variant: str) -> Certificate:
     shared by every run, and pairs of simplicial vertices need none.
     Both start with the cut vertices forbidden, found by one
     Hopcroft-Tarjan pass.  For gp that is the exchange lemma (``_gp``):
-    some optimum holds no cut vertex.  The gp value pass is a
-    Russian-doll search over the other vertices in descending
-    eccentricity order.  From the last vertex back it fills a table of
-    the largest gp set inside each suffix of that order: it first
-    extends the last optimum by the new vertex, with a few ORs, and only
-    when that fails runs the search with the vertex pinned, bounded by
-    the table, for a set one larger.  Its lexicographically least
-    witness comes from prefix decisions in ascending vertex order, each
-    a run of the same search from the vertices pinned so far, bounded by
-    the same table plus one for each cut vertex the run leaves free; a
-    successful run returns a whole optimum, whose later members are
-    pinned without a search.  For dual a set holding a cut vertex has a
-    fixed shape that is checked apart (``_dual``).  The dual search also
-    forbids the convex hull of the vertices it has excluded, which no
-    dual set below that point can meet, and a set counts once that hull
-    is its whole complement.  It runs once, in ascending vertex order,
-    and the first set it counts at the final size is the witness.  Every
+    some optimum holds no cut vertex.  Every search takes its candidates
+    as a bitmask, lowest vertex first.  The gp value pass is a
+    Russian-doll search over the other vertices.  From the highest
+    vertex down it fills a table, indexed by vertex, of the largest gp
+    set among the vertices at or above each one: it first extends the
+    last optimum by the new vertex, with a few ORs, and only when that
+    fails runs the search with the vertex pinned, bounded by the table,
+    for a set one larger.  Its lexicographically least witness comes
+    from prefix decisions in ascending vertex order, each a run of the
+    same search from the vertices pinned so far, bounded by the same
+    table plus one for each cut vertex above the entry that the run
+    leaves free; a successful run returns a whole optimum, whose later
+    members are pinned without a search.  For dual a set holding a cut
+    vertex has a fixed shape that is checked apart (``_dual``).  The
+    dual search also forbids the convex hull of the vertices it has
+    excluded, which no dual set below that point can meet, and a set
+    counts once that hull is its whole complement.  It runs once, and
+    the first set it counts at the final size is the witness.  Every
     cut removes only subtrees without a better set, so witnesses are
     lexicographically least among the optima.  Every search here, the
     clique searches too, runs on an explicit stack, so no answer depends
@@ -412,24 +412,24 @@ def _gp(search: _Search):
     each geodesic from S - c to w passes through c, so a member of S
     inside it would already lie between its end and c.  Every component
     holds a vertex that is not a cut vertex, so the value pass runs over
-    the non-cut vertices ``search.verts`` alone, in ``search.order``, with
-    every cut vertex forbidden.
+    the non-cut vertices alone, in ascending vertex order.
 
     The value pass is a Russian-doll search (Verfaillie, Lemaitre and
     Schiex, AAAI 1996; Ostergard's maximum clique, Discrete Appl. Math.
-    2002).  gp sets are hereditary, so ``doll[i]``, the size of the
-    largest gp set inside ``verts[i:]``, is ``doll[i + 1]`` or one more,
-    and bounds every frame at position i of the searches that follow.
-    It is filled from the end.  At each i the last optimum found is
-    first extended by ``verts[i]``.  With the OR of the conflict links
-    of its pairs at hand, that succeeds iff ``verts[i]`` is outside it:
-    a triple is a conflict whichever of its three pairs is taken, so no
-    link from ``verts[i]`` to a member then holds another member.  Only
-    when that fails does a search run, with ``verts[i]`` pinned over
-    ``verts[i + 1:]``, bounded by the table, for a set one larger.  The
-    optimum at i = 0 is the first one for the witness, which comes from
-    prefix decisions (``graphs._lex_least``), each a pinned run of the
-    same search bounded by the same table (``_gp_decisions``).
+    2002).  gp sets are hereditary, so ``doll[v]``, the size of the
+    largest gp set among the non-cut vertices at or above v, is
+    ``doll[v + 1]`` or one more, and bounds every frame of the searches
+    that follow whose lowest candidate is v.  It is filled from the
+    highest vertex down.  At each non-cut v the last optimum found is
+    first extended by v.  With the OR of the conflict links of its pairs
+    at hand, that succeeds iff v is outside it: a triple is a conflict
+    whichever of its three pairs is taken, so no link from v to a member
+    then holds another member.  Only when that fails does a search run,
+    with v pinned over the non-cut vertices above it, bounded by the
+    table, for a set one larger.  The optimum at v = 0 is the first one
+    for the witness, which comes from prefix decisions
+    (``graphs._lex_least``), each a pinned run of the same search
+    bounded by the same table (``_gp_decisions``).
     """
     doll, first = _gp_doll(search)
     decide = _gp_decisions(search, doll)
@@ -438,28 +438,29 @@ def _gp(search: _Search):
 
 def _gp_doll(search: _Search):
     """The Russian-doll table of ``_gp`` and the mask of one optimum:
-    ``doll[i]`` is the largest size of a gp set in ``search.verts[i:]``."""
-    verts, cuts = search.verts, search.cuts
-    doll = [0] * (len(verts) + 1)
+    ``doll[v]`` is the largest size of a gp set among the non-cut
+    vertices at or above v, and ``doll[n]`` is 0.  A cut vertex copies
+    the entry above it."""
+    n, cuts, full = search.G.n, search.cuts, search.full
+    doll = [0] * (n + 1)
     best, held, links = [], 0, 0  # the last optimum, its mask, its links
-    for i in range(len(verts) - 1, -1, -1):
-        v = verts[i]
+    for v in range(n - 1, -1, -1):
+        if cuts >> v & 1:
+            doll[v] = doll[v + 1]
+            continue
         new = (v,)  # the vertices that join the last optimum
         if links >> v & 1:
             # v does not extend it: search for a set one larger holding v,
             # which replaces it when found
-            c = doll[i + 1]
-            rest = verts[i + 1 :]
-            _, new = _branch_and_bound(
-                search, rest, False, c, c + 1, new, cuts, doll[i + 1 :]
-            )
+            c, above = doll[v + 1], full & ~((2 << v) - 1)
+            _, new = _branch_and_bound(search, above, False, c, c + 1, new, cuts, doll)
             if new:
                 best, held, links = [], 0, 0
         for u in new:
             links |= search.links(u, best, held)
             best.append(u)
             held |= 1 << u
-        doll[i] = len(best)
+        doll[v] = len(best)
     return doll, held
 
 
@@ -469,19 +470,20 @@ def _gp_decisions(search: _Search, doll):
     value, that holds the pins and v and no rejected vertex, or 0.
     ``pins`` must be a gp set and ``doll`` is the table of ``_gp_doll``.
 
-    Each call is a run of the value search started from the pins and v.
-    It may still forbid a cut vertex c outside them when two or more
-    components of G - c hold a non-cut vertex outside the rejected set:
-    one of them misses the set, and the exchange lemma of ``_gp`` swaps
-    c for that vertex.  The run is bounded at position j of its vertex
-    list by ``doll`` at the first non-cut vertex from j on, plus one for
-    each cut vertex from j on, which the table does not cover.  The
-    conflict links of the pins grow with the pins, as the list is only
-    ever extended.
+    Each call is a run of the value search started from the pins and v,
+    over every vertex that is none of them, is not rejected and lies in
+    no conflict link of theirs.  It still drops a cut vertex c when two
+    or more components of G - c hold a non-cut vertex outside the
+    rejected set: one of them misses the set, and the exchange lemma of
+    ``_gp`` swaps c for that vertex.  The other cut vertices stay free
+    (``loose``); the table does not cover them, so the run is bounded at
+    lowest candidate p by ``doll[p]`` plus the loose cut vertices at or
+    above p, and by ``doll`` itself when there are none.  The conflict
+    links of the pins grow with the pins, as the list is only ever
+    extended.
     """
-    order, verts, parts, cuts = search.order, search.verts, search.parts, search.cuts
+    parts, cuts, full = search.parts, search.cuts, search.full
     value = doll[0]
-    at = {v: i for i, v in enumerate(verts)}
     linked = [0, 0, 0]  # pins linked so far, their mask, their links
     ruled = {}  # rejected non-cut vertices -> cut vertices a swap frees
 
@@ -503,19 +505,13 @@ def _gp_decisions(search: _Search, doll):
                 for c, comps in parts.items()
                 if sum(1 for comp in comps if comp & free) > 1
             )
-        forb |= rejected | ruled[gone] & ~held
-        rest = [u for u in order if not (forb | held) >> u & 1]
-        cap = [0] * (len(rest) + 1)
-        top, loose = len(verts), 0
-        for j in range(len(rest) - 1, -1, -1):
-            u = rest[j]
-            if cuts >> u & 1:
-                loose += 1
-            else:
-                top = at[u]
-            cap[j] = doll[top] + loose
+        cand = full & ~(forb | held | rejected | ruled[gone])
+        loose = cand & cuts
+        cap = doll
+        if loose:
+            cap = [d + (loose >> p).bit_count() for p, d in enumerate(doll)]
         size, members = _branch_and_bound(
-            search, rest, False, value - 1, value, pins + [v], forb, cap
+            search, cand, False, value - 1, value, pins + [v], doll=cap
         )
         return sum(1 << u for u in members) if size == value else 0
 
@@ -549,7 +545,7 @@ def _dual(search: _Search):
         for comp, other in (comps, comps[::-1])
         if clique(comp | 1 << c) and clique(nbr[c] & other)
     ]
-    value, witness = _branch_and_bound(search, range(n), True, 0, n, forb=search.cuts)
+    value, witness = _branch_and_bound(search, search.full & ~search.cuts, True, 0, n)
     top = max([value, *map(int.bit_count, apart)])
     candidates = [tuple(bits(S)) for S in apart if S.bit_count() == top]
     if value == top:

@@ -32,7 +32,13 @@ from genpos.errors import (
     SizeError,
 )
 from genpos.graphs import bits
-from genpos.position import _gp_decisions, _gp_doll, _levels, _Search
+from genpos.position import (
+    _branch_and_bound,
+    _gp_decisions,
+    _gp_doll,
+    _levels,
+    _Search,
+)
 
 
 def _family(text):
@@ -426,10 +432,11 @@ def test_solver_oracle_agreement_glued_at_a_cut_vertex(
 
 
 def _doll_against_the_oracle(G):
-    # doll[i] of the gp value pass, on the search object that solve
-    # builds, must be the largest gp set inside search.verts[i:], read
-    # from the oracle's table; returns how many of the positions were
-    # filled by extending the last optimum and how many by a search
+    # doll[v] of the gp value pass, on the search object that solve
+    # builds, must be the largest gp set among the non-cut vertices at or
+    # above v, read from the oracle's table, and doll[n] is 0; returns how
+    # many of the non-cut vertices were filled by extending the last
+    # optimum and how many by a search
     search = _Search(G)
     with mock.patch.object(
         position, "_branch_and_bound", wraps=position._branch_and_bound
@@ -437,14 +444,15 @@ def _doll_against_the_oracle(G):
         doll, first = _gp_doll(search)
     gp_sets = list(bits(variant_feasibility(search.D, "gp")))
     want, inside = [0], 0
-    for v in reversed(search.verts):
-        inside |= 1 << v
+    for v in reversed(range(G.n)):
+        inside |= 1 << v & ~search.cuts
         want.append(max(X.bit_count() for X in gp_sets if not X & ~inside))
     assert doll == want[::-1]
     assert first in gp_sets and first.bit_count() == doll[0]
     assert not first & search.cuts
     assert doll[0] == brute_force(G, "gp").value
-    return len(search.verts) - runs.call_count, runs.call_count
+    noncut = G.n - search.cuts.bit_count()
+    return noncut - runs.call_count, runs.call_count
 
 
 @settings(max_examples=40, deadline=None)
@@ -524,14 +532,51 @@ def test_gp_decisions_with_pins_against_the_oracle_table(
             assert found & need == need and not found & rejected
 
 
+@settings(max_examples=40, deadline=None)
+@given(**_GLUED)
+def test_kernel_on_a_candidate_mask_against_the_oracle_table(
+    a, b, seed, tree_a, tree_b, data
+):
+    # one gp run of the kernel from a drawn candidate mask, which need not
+    # be the vertices above any vertex, drawn pins (a subset of a drawn gp
+    # set), a drawn forbidden mask and a drawn floor: it must return the
+    # lexicographically least of the largest gp sets that hold the pins
+    # and lie inside cand & ~forb besides them, whenever that beats the
+    # floor, read from the oracle's table
+    G = _glued(a, b, seed, tree_a, tree_b, data)
+    n = G.n
+    search = _Search(G)
+    gp_sets = list(bits(variant_feasibility(search.D, "gp")))
+    for _ in range(4):
+        base = gp_sets[data.draw(st.integers(0, len(gp_sets) - 1))]
+        pins = [u for u in bits(base) if data.draw(st.booleans())]
+        held = sum(1 << u for u in pins)
+        cand = data.draw(st.integers(0, (1 << n) - 1), label="cand") & ~held
+        forb = data.draw(st.integers(0, (1 << n) - 1), label="forb")
+        floor = data.draw(st.integers(0, n), label="floor")
+        links = 0  # the kernel needs the conflict links of the pins' pairs
+        for k, u in enumerate(pins):
+            links |= search.links(u, pins[:k], held & ((1 << u) - 1))
+        room = held | cand & ~forb
+        fits = [X for X in gp_sets if X & held == held and not X & ~room]
+        top = max(X.bit_count() for X in fits)
+        size, members = _branch_and_bound(
+            search, cand, False, floor, n, pins, forb | links
+        )
+        if top > floor:
+            least = min(tuple(bits(X)) for X in fits if X.bit_count() == top)
+            assert (size, tuple(sorted(members))) == (top, least)
+        else:
+            assert (size, members) == (floor, ())
+
+
 @pytest.mark.parametrize(
     "spec", ["random_connected:30,0.15,2", "cartesian:path:7|path:7"]
 )
 @pytest.mark.parametrize("variant", ["gp", "dual"])
 def test_gp_and_dual_build_each_table_once(spec, variant, spec_graph):
     # one search object per solve builds the tables that every kernel
-    # run, the Russian-doll pass and the witness decisions read; only gp
-    # sorts the vertices by eccentricity
+    # run, the Russian-doll pass and the witness decisions read
     G = spec_graph(spec)
     builders = (
         "all_pairs_distances",
@@ -546,16 +591,10 @@ def test_gp_and_dual_build_each_table_once(spec, variant, spec_graph):
             )
             for name in builders
         }
-        run = "_" + variant
-        top = stack.enter_context(
-            mock.patch.object(position, run, wraps=getattr(position, run))
-        )
         solve(G, variant)
     assert {name: spy.call_count for name, spy in calls.items()} == dict.fromkeys(
         builders, 1
     )
-    (search,) = top.call_args.args
-    assert ("order" in vars(search)) == (variant == "gp")
 
 
 @pytest.mark.parametrize(
