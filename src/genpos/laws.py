@@ -327,13 +327,13 @@ def _box_of_convex(betG, betH, nh: int, W_mask: int) -> bool:
         return True
     A = 0
     B = 0
-    cells = set()
     for idx in bits(W_mask):
         g, h = divmod(idx, nh)
         A |= 1 << g
         B |= 1 << h
-        cells.add((g, h))
-    if len(cells) != A.bit_count() * B.bit_count():
+    # the cells of W are distinct pairs in A x B, so W is the whole box
+    # iff it has as many
+    if W_mask.bit_count() != A.bit_count() * B.bit_count():
         return False
     return _is_convex_mask(betG, A) and _is_convex_mask(betH, B)
 

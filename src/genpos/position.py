@@ -90,13 +90,14 @@ def is_variant_set(G: Graph, D: DistMatrix, X: VertexSet, variant: str) -> bool:
     complement pairs still get checked, and pass because X blocks
     nothing).
 
-    For each vertex u, the pairs (u, v) that some member of X other than
-    u blocks are the union of the shadow rows ``_shadow_row(G, D, u)[x]``
-    over x in X less u.  Each variant names the partners v that u must
-    keep unblocked, so one row per vertex decides all of its pairs.  A
-    simplicial member lies inside no geodesic, so it blocks no pair, and
-    only the other members need the row; the simplicial set is found
-    the first time a row is needed.
+    One loop over the pairs the variant names, on the distances ``D.d``
+    alone: for each vertex u, the partners v that u must keep unblocked,
+    each pair once from its lower end, are tested against the members y
+    of X besides u and v with ``d[u][y] + d[y][v] == d[u][v]``.  An edge
+    has nothing between its ends, and a simplicial vertex lies inside no
+    geodesic, so it blocks no pair; only the members that are not
+    simplicial are tested, and the simplicial set is found once, up
+    front.  Cost O(n**2) per member that is not simplicial.
     """
     _check_variant(variant)
     if X.n != G.n or D.n != G.n:
@@ -104,7 +105,7 @@ def is_variant_set(G: Graph, D: DistMatrix, X: VertexSet, variant: str) -> bool:
     n, nbr, d = G.n, G.neighbor_masks, D.d
     x = X.mask
     full = (1 << n) - 1
-    inner = None  # the members that are not simplicial
+    inner = x & ~simplicial_set(G).mask  # the members that can block a pair
     for u in range(n):
         bit = 1 << u
         inside = x & bit
@@ -116,26 +117,14 @@ def is_variant_set(G: Graph, D: DistMatrix, X: VertexSet, variant: str) -> bool:
             partners = full if inside else x
         else:
             partners = x if inside else full & ~x
-        # each pair once, from its lower end; an edge has nothing between
         partners &= ~((bit << 1) - 1) & ~nbr[u]
-        others = x & ~bit
+        others = inner & ~bit
         if not (partners and others):
             continue
-        if partners.bit_count() * others.bit_count() <= n:
-            # few pairs: test them on the distances, as the definition does
-            du = d[u]
-            for v in bits(partners):
-                for y in bits(others & ~(1 << v)):
-                    if du[y] + d[y][v] == du[v]:
-                        return False
-            continue
-        if inner is None:
-            inner = x & ~simplicial_set(G).mask
-        others &= inner
-        if others:
-            row = _shadow_row(G, D, u)
-            for w in bits(others):
-                if row[w] & partners:
+        du = d[u]
+        for v in bits(partners):
+            for y in bits(others & ~(1 << v)):
+                if du[y] + d[y][v] == du[v]:
                     return False
     return True
 
@@ -207,7 +196,6 @@ def _branch_and_bound(
     floor: int,
     ceiling: int,
     pins=(),
-    forb: int = 0,
     doll=(),
 ):
     """Include-first branch and bound over the downward-closed gp sets.
@@ -260,11 +248,10 @@ def _branch_and_bound(
     unchanged; dual sets are not hereditary, so the dual search has none.
 
     The search may start from a state instead of the empty set:
-    ``pins`` are chosen from the start and ``forb`` leaves ``cand`` at
-    the start.  ``cand`` must not hold a pin, and ``forb`` must hold the
-    conflict links of every pair of pins.  Both variants start without
-    the cut vertices, and each prefix decision of the gp witness starts
-    from its pins (see ``_gp`` and ``_dual``).
+    ``pins`` are chosen from the start, and ``cand`` must hold no pin and
+    no vertex of the conflict link of two pins.  Both variants start
+    without the cut vertices, and each prefix decision of the gp witness
+    starts from its pins (see ``_gp`` and ``_dual``).
 
     One loop on an explicit stack runs the search, so the recursion
     limit does not bound its depth.  A frame is ``(cand, xmask, hull,
@@ -280,7 +267,6 @@ def _branch_and_bound(
     xs, stack = list(pins), []
     xmask = sum(1 << p for p in pins)
     size = len(xs)
-    cand &= ~forb
     hull = 0
     while True:
         low = cand & -cand
@@ -453,7 +439,7 @@ def _gp_doll(search: _Search):
             # v does not extend it: search for a set one larger holding v,
             # which replaces it when found
             c, above = doll[v + 1], full & ~((2 << v) - 1)
-            _, new = _branch_and_bound(search, above, False, c, c + 1, new, cuts, doll)
+            _, new = _branch_and_bound(search, above & ~cuts, False, c, c + 1, new, doll)
             if new:
                 best, held, links = [], 0, 0
         for u in new:

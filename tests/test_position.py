@@ -306,6 +306,42 @@ def test_feasibility_table_matches_predicate_random(n, p, seed):
             assert bool(table >> mask & 1) == is_variant_set(G, D, X, variant)
 
 
+def _named_pairs_positionable(D, X, variant):
+    # the definition itself: every pair u < v that the variant names is
+    # X-positionable, with no simplicial or adjacency shortcut
+    x = X.mask
+    for u, v in itertools.combinations(range(D.n), 2):
+        a, b = x >> u & 1, x >> v & 1
+        named = {"gp": a & b, "total": 1, "outer": a | b, "dual": a == b}[variant]
+        if named and not is_positionable(D, X, u, v):
+            return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=11, max_value=24),
+    p=st.floats(min_value=0.2, max_value=0.6),
+    seed=st.integers(min_value=0, max_value=10**6),
+    tree=st.booleans(),
+    data=st.data(),
+)
+def test_variant_set_matches_the_definition_past_the_oracle(n, p, seed, tree, data):
+    # past the oracle's range both verdicts against the literal definition:
+    # a random set, the solver's witness, and the witness with one vertex
+    # flipped, which is often no longer a set of the variant
+    G = random_tree(n, seed) if tree else random_connected(n, p, seed)
+    D = all_pairs_distances(G)
+    for variant in VARIANTS:
+        witness = solve(G, variant).witness.mask
+        flip = 1 << data.draw(st.integers(0, n - 1), label="flip")
+        masks = (data.draw(st.integers(0, (1 << n) - 1), label="X"), witness, witness ^ flip)
+        for mask in masks:
+            X = VertexSet.from_mask(n, mask)
+            want = _named_pairs_positionable(D, X, variant)
+            assert is_variant_set(G, D, X, variant) == want, (variant, mask)
+
+
 def test_level_tables():
     # bit m of _levels(n)[k] is set iff the subset with bitmask m has k members
     levels = _levels(10)
@@ -561,7 +597,7 @@ def test_kernel_on_a_candidate_mask_against_the_oracle_table(
         fits = [X for X in gp_sets if X & held == held and not X & ~room]
         top = max(X.bit_count() for X in fits)
         size, members = _branch_and_bound(
-            search, cand, False, floor, n, pins, forb | links
+            search, cand & ~(forb | links), False, floor, n, pins
         )
         if top > floor:
             least = min(tuple(bits(X)) for X in fits if X.bit_count() == top)
