@@ -129,15 +129,16 @@ def is_variant_set(G: Graph, D: DistMatrix, X: VertexSet, variant: str) -> bool:
     return True
 
 
-def _shadow_row(G: Graph, D: DistMatrix, a: int) -> list:
-    """Row a of the shadow table: entry b holds w iff b lies strictly
-    between a and w, that is, the descendants of b in the BFS DAG of a.
+def _shadow_row(G: Graph, da) -> list:
+    """Row a of the shadow table, from ``da``, the distances from a:
+    entry b holds w iff b lies strictly between a and w, that is, the
+    descendants of b in the BFS DAG of a.
 
     One pass over the vertices, farthest from a first: the descendants
     of b are its neighbours one step farther from a and their own
     descendants.  One sort and O(n + m) bitmask ORs.
     """
-    da, adj = D.d[a], G.adj
+    adj = G.adj
     row = [0] * G.n
     for b in sorted(range(G.n), key=da.__getitem__, reverse=True):
         down = da[b] + 1
@@ -149,26 +150,70 @@ def _shadow_row(G: Graph, D: DistMatrix, a: int) -> list:
     return row
 
 
+class _Intervals(dict):
+    """The rows of ``metric.interval_masks`` for a connected graph, each
+    built on first read: ``self[a][v]`` holds w iff w lies strictly
+    between a and v, and ``dist[a]`` holds the distances from a.
+
+    Row a takes one BFS from a, which fills the row as it goes, by the
+    recurrence of ``interval_masks``: a vertex v is scanned only after
+    every vertex closer to a, so its neighbours one step closer already
+    have their entries, and the interior of I(a, v) is the OR of those
+    neighbours and their interiors.  Where row v is already built, its
+    entry a is the same interval, and that int is shared instead of
+    built again.  O(n + m) per row, and a solve builds only the rows its
+    search reads.
+    """
+
+    def __init__(self, adj):
+        self.adj = adj
+        self.dist = {}
+
+    def __missing__(self, a: int) -> list:
+        adj, built = self.adj, self.get
+        dist = [-1] * len(adj)
+        dist[a] = 0
+        row = [0] * len(adj)
+        order = [a]
+        for v in order:  # the BFS queue, appended to as it is read
+            up = dist[v] - 1
+            other = built(v)
+            r = 0
+            for w in adj[v]:
+                dw = dist[w]
+                if dw < 0:
+                    dist[w] = up + 2
+                    order.append(w)
+                elif dw == up and up and other is None:  # a is no interior
+                    r |= row[w] | 1 << w
+            row[v] = r if other is None else other[a]
+        self.dist[a] = dist
+        self[a] = row
+        return row
+
+
 class _Search(dict):
-    """Every table a gp or dual solve of G reads, built once: ``D``,
-    ``bet`` (interval masks), the ``simplicial`` mask, ``parts`` (from
+    """Every table a gp or dual solve of G reads, each built once:
+    ``bet``, the interval table, whose rows are built on first read
+    (``_Intervals``), the ``simplicial`` mask, ``parts`` (from
     ``graphs.cut_components``), ``cuts``, their mask, and ``full``, the
-    mask of every vertex.  Its items are
-    the half links, each row built on first use: ``half[a][b] =
-    bet[a][b] | sh[a][b]``, the vertices w such that a is an end of a
-    geodesic through all of a, b and w."""
+    mask of every vertex.  Its items are the half links, each row built
+    on first read from the BFS of its source: ``half[a][b] = bet[a][b] |
+    sh[a][b]``, the vertices w such that a is an end of a geodesic
+    through all of a, b and w.  No whole distance or interval table is
+    built."""
 
     def __init__(self, G: Graph):
         self.G = G
-        self.D = all_pairs_distances(G)
-        self.bet = interval_masks(self.D)
+        self.bet = _Intervals(G.adj)
         self.simplicial = simplicial_set(G).mask
         self.parts = cut_components(G)
         self.cuts = sum(1 << c for c in self.parts)
         self.full = (1 << G.n) - 1
 
     def __missing__(self, a: int) -> list:
-        row = self[a] = list(map(or_, _shadow_row(self.G, self.D, a), self.bet[a]))
+        inside = self.bet[a]  # runs the BFS from a, which fills dist[a]
+        row = self[a] = list(map(or_, _shadow_row(self.G, self.bet.dist[a]), inside))
         return row
 
     def links(self, v: int, xs, xmask: int) -> int:
@@ -211,7 +256,10 @@ def _branch_and_bound(
     conflict test runs, and the bound, the number of candidates, is
     exact.  A simplicial vertex lies inside no geodesic, so
     ``half[a][b]`` is just ``bet[a][b]`` for b in the ``simplicial``
-    mask; pairs of simplicial vertices build no rows.
+    mask; pairs of simplicial vertices build no half rows.  Every row of
+    ``bet`` and ``half`` is built the first time the search reads it,
+    from one BFS of its source, so a run costs only the rows of the
+    vertices it includes and, with ``dual``, of those its hull takes.
 
     The dual sets are exactly the gp sets with a convex complement.
     Every vertex the search excludes, dropped as a candidate or passed
@@ -344,11 +392,13 @@ def solve(G: Graph, variant: str) -> Certificate:
     clique of the strong resolving graph; outer works on that graph's
     neighbour masks alone, from one bit-parallel BFS over the 2-core,
     and builds no distance table and no Graph.  gp and dual run the same
-    branch and bound over the betweenness conflicts, on tables that the
-    solve builds once, in one object (``_Search``).  Each chosen pair
+    branch and bound over the betweenness conflicts, on tables held in
+    one object per solve (``_Search``) and shared by every run.  No
+    whole distance or interval table is built: a row of intervals is
+    built on first read, from one BFS of its source, and the shadow row
+    of the same source from that BFS's distances.  Each chosen pair
     forbids its whole conflict link, so every vertex not forbidden is
-    addable; the shadow rows behind the link are built on first use and
-    shared by every run, and pairs of simplicial vertices need none.
+    addable, and pairs of simplicial vertices need no shadow rows.
     Both start with the cut vertices forbidden, found by one
     Hopcroft-Tarjan pass.  For gp that is the exchange lemma (``_gp``):
     some optimum holds no cut vertex.  Every search takes its candidates

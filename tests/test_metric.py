@@ -27,7 +27,7 @@ from genpos.errors import (
     EmptySetError,
     NotAnEdgeError,
 )
-from genpos.position import _shadow_row
+from genpos.position import _Intervals, _shadow_row
 
 
 def _family(text):
@@ -141,13 +141,47 @@ def test_shadow_rows_match_strict_betweenness(spec, spec_graph):
     n = G.n
     D = all_pairs_distances(G)
     for a in range(n):
-        row = _shadow_row(G, D, a)
+        row = _shadow_row(G, D.d[a])
         for b in range(n):
             if b == a:
                 continue
             for w in range(n):
                 expect = w not in (a, b) and lies_between(D, a, b, w)
                 assert bool(row[b] >> w & 1) == expect
+
+
+def _lazy_rows_match_the_whole_tables(G, order):
+    # each row the search table builds on first read, in any order, equals
+    # that row of interval_masks, and the distances of its BFS are D's row
+    D = all_pairs_distances(G)
+    bet = interval_masks(D)
+    rows = _Intervals(G.adj)
+    order = list(order)
+    for a in order:
+        assert rows[a] == bet[a]
+        assert rows.dist[a] == list(D.d[a])
+    assert sorted(rows) == sorted(set(order))
+
+
+@pytest.mark.parametrize("spec", _METRIC_SPECS)
+def test_lazy_interval_rows_match_interval_masks(spec, spec_graph):
+    G = spec_graph(spec)
+    # both directions, so that later rows share entries of earlier ones
+    _lazy_rows_match_the_whole_tables(G, range(G.n))
+    _lazy_rows_match_the_whole_tables(G, reversed(range(G.n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=16),
+    p=st.floats(min_value=0.15, max_value=0.9),
+    seed=st.integers(min_value=0, max_value=10**6),
+    data=st.data(),
+)
+def test_lazy_interval_rows_match_interval_masks_random(n, p, seed, data):
+    G = random_connected(n, p, seed)
+    order = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    _lazy_rows_match_the_whole_tables(G, order)
 
 
 def _interiors_miss_the_simplicial_vertices(G):

@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -34,6 +35,7 @@ from genpos.errors import (
 from genpos.graphs import bits
 from genpos.position import (
     _branch_and_bound,
+    _gp,
     _gp_decisions,
     _gp_doll,
     _levels,
@@ -478,7 +480,7 @@ def _doll_against_the_oracle(G):
         position, "_branch_and_bound", wraps=position._branch_and_bound
     ) as runs:
         doll, first = _gp_doll(search)
-    gp_sets = list(bits(variant_feasibility(search.D, "gp")))
+    gp_sets = list(bits(variant_feasibility(all_pairs_distances(G), "gp")))
     want, inside = [0], 0
     for v in reversed(range(G.n)):
         inside |= 1 << v & ~search.cuts
@@ -541,7 +543,7 @@ def test_gp_decisions_with_pins_against_the_oracle_table(
     n = G.n
     search = _Search(G)
     doll, _ = _gp_doll(search)
-    table = variant_feasibility(search.D, "gp")
+    table = variant_feasibility(all_pairs_distances(G), "gp")
     levels = _levels(n)
     value = max(k for k, level in enumerate(levels) if table & level)
     assert doll[0] == value
@@ -582,7 +584,7 @@ def test_kernel_on_a_candidate_mask_against_the_oracle_table(
     G = _glued(a, b, seed, tree_a, tree_b, data)
     n = G.n
     search = _Search(G)
-    gp_sets = list(bits(variant_feasibility(search.D, "gp")))
+    gp_sets = list(bits(variant_feasibility(all_pairs_distances(G), "gp")))
     for _ in range(4):
         base = gp_sets[data.draw(st.integers(0, len(gp_sets) - 1))]
         pins = [u for u in bits(base) if data.draw(st.booleans())]
@@ -612,7 +614,10 @@ def test_kernel_on_a_candidate_mask_against_the_oracle_table(
 @pytest.mark.parametrize("variant", ["gp", "dual"])
 def test_gp_and_dual_build_each_table_once(spec, variant, spec_graph):
     # one search object per solve builds the tables that every kernel
-    # run, the Russian-doll pass and the witness decisions read
+    # run, the Russian-doll pass and the witness decisions read: the
+    # simplicial set and the cut vertices once, each interval row on
+    # first read from one BFS of its source, and no whole distance or
+    # interval table at all
     G = spec_graph(spec)
     builders = (
         "all_pairs_distances",
@@ -620,7 +625,17 @@ def test_gp_and_dual_build_each_table_once(spec, variant, spec_graph):
         "simplicial_set",
         "cut_components",
     )
+    bfs = Counter()
+    build_row = position._Intervals.__missing__
+
+    def counted(rows, a):
+        bfs[a] += 1
+        return build_row(rows, a)
+
     with contextlib.ExitStack() as stack:
+        stack.enter_context(
+            mock.patch.object(position._Intervals, "__missing__", counted)
+        )
         calls = {
             name: stack.enter_context(
                 mock.patch.object(position, name, wraps=getattr(position, name))
@@ -628,9 +643,32 @@ def test_gp_and_dual_build_each_table_once(spec, variant, spec_graph):
             for name in builders
         }
         solve(G, variant)
-    assert {name: spy.call_count for name, spy in calls.items()} == dict.fromkeys(
-        builders, 1
-    )
+    assert {name: spy.call_count for name, spy in calls.items()} == {
+        "all_pairs_distances": 0,
+        "interval_masks": 0,
+        "simplicial_set": 1,
+        "cut_components": 1,
+    }
+    assert bfs and set(bfs.values()) == {1}
+
+
+def test_gp_on_a_long_path_reads_three_rows(spec_graph):
+    # the two ends are the only non-cut vertices, and the conflict link
+    # of the adjacent pair 0, 1 is every other vertex, so the value pass
+    # and the witness decisions read three interval rows and one half row
+    search = _Search(spec_graph("path:200"))
+    assert _gp(search) == (2, (0, 1))
+    assert len(search.bet) <= 3 and len(search) <= 1
+
+
+def test_gp_on_a_tree_builds_fewer_rows_than_vertices(spec_graph):
+    # gp of a tree is its leaf count; the value pass takes up only the
+    # leaves, the non-cut vertices, and the witness decisions only the cut
+    # vertices they leave free, so some rows are never read
+    G = spec_graph("random_tree:40,3")
+    search = _Search(G)
+    assert _gp(search)[0] == sum(G.degree(v) == 1 for v in range(G.n)) == 17
+    assert len(search.bet) < G.n
 
 
 @pytest.mark.parametrize(
