@@ -201,7 +201,10 @@ class _Search(dict):
     on first read from the BFS of its source: ``half[a][b] = bet[a][b] |
     sh[a][b]``, the vertices w such that a is an end of a geodesic
     through all of a, b and w.  No whole distance or interval table is
-    built."""
+    built, and the searches skip three kinds of read that cannot drop a
+    candidate (``_branch_and_bound``, ``_gp_doll``).  ``links`` reads no
+    row for an empty set, and ``behind_a_cut`` tells the dual hull which
+    of its vertices need none."""
 
     def __init__(self, G: Graph):
         self.G = G
@@ -223,6 +226,8 @@ class _Search(dict):
         simplicial b, and that lies in ``half[b][a]``.  So a simplicial v
         needs no ``half[u][v]``, and ``bet[v]`` serves for ``half[v]``
         when every u is simplicial."""
+        if not xmask:
+            return 0
         hv = self[v] if xmask & ~self.simplicial else self.bet[v]
         out = 0
         if self.simplicial >> v & 1:
@@ -232,6 +237,20 @@ class _Search(dict):
             for u in xs:
                 out |= hv[u] | self[u][v]
         return out
+
+    def behind_a_cut(self, w: int, closed: int) -> bool:
+        """True iff w has a neighbour p in ``closed`` that is a cut vertex
+        and w's component of G - p holds no vertex of ``closed``.  Then a
+        geodesic from w to any u in ``closed`` runs through p, so the
+        interior of I(w, u) lies in {p} and the interior of I(p, u)."""
+        parts = self.parts
+        for p in bits(self.G.neighbor_masks[w] & closed & self.cuts):
+            for comp in parts[p]:
+                if comp >> w & 1:
+                    if not comp & closed:
+                        return True
+                    break
+        return False
 
 
 def _branch_and_bound(
@@ -260,6 +279,12 @@ def _branch_and_bound(
     ``bet`` and ``half`` is built the first time the search reads it,
     from one BFS of its source, so a run costs only the rows of the
     vertices it includes and, with ``dual``, of those its hull takes.
+    An include whose vertex, chosen set and remaining candidates are all
+    simplicial reads no row at all: the link of two simplicial vertices
+    is the interior of their interval, which holds no simplicial vertex,
+    so the child's candidates are the parent's.  That test sits inside
+    the simplicial branch, so graphs without simplicial vertices never
+    make it.
 
     The dual sets are exactly the gp sets with a convex complement.
     Every vertex the search excludes, dropped as a candidate or passed
@@ -270,7 +295,15 @@ def _branch_and_bound(
     hull leaves the candidates, so the bound counts it too; that repeats
     until the hull takes no more candidates.  A frame that the candidate
     count ends anyway skips that step.  A hull that meets the chosen set
-    ends the frame: every later sibling excludes the same vertices.
+    ends the frame: every later sibling excludes the same vertices.  The
+    closure takes its new vertices one at a time, and ORs the row of
+    each with the vertices closed before it, so the interior of every
+    pair of closed vertices is in the hull.  A vertex w is closed without
+    its row when it is the first, or, in a graph with cut vertices, when
+    ``search.behind_a_cut(w, closed)``: every geodesic from w to a closed
+    u then runs through a closed cut vertex p next to w, so the interior
+    of I(w, u) lies in {p} and the interior of I(p, u), already in the
+    hull.
 
     A set counts only where its frame has run out of candidates and was
     never cut.  With ``dual`` the complement is then the hull, which is
@@ -310,6 +343,7 @@ def _branch_and_bound(
     excluded.
     """
     bet, half, simplicial, full = search.bet, search, search.simplicial, search.full
+    cuts, behind_a_cut = search.cuts, search.behind_a_cut
     best = floor
     best_members = ()
     xs, stack = list(pins), []
@@ -324,22 +358,24 @@ def _branch_and_bound(
             # to the hull can add more.  A hull meeting xmask ends the frame.
             fresh = (low - 1 if cand else full) & ~(xmask | hull)
             while fresh:
-                members = list(bits(hull))
+                members, closed = list(bits(hull)), hull
                 hull |= fresh
                 while fresh:
                     bit = fresh & -fresh
                     fresh ^= bit
                     w = bit.bit_length() - 1
-                    row, add = bet[w], 0
-                    for u in members:
-                        add |= row[u]
-                    add &= ~hull
-                    if add:
-                        hull |= add
-                        if hull & xmask:
-                            break
-                        fresh |= add
+                    if closed and not (cuts and behind_a_cut(w, closed)):
+                        row, add = bet[w], 0
+                        for u in members:
+                            add |= row[u]
+                        add &= ~hull
+                        if add:
+                            hull |= add
+                            if hull & xmask:
+                                break
+                            fresh |= add
                     members.append(w)
+                    closed |= bit
                 if hull & xmask:
                     cand = low = 0
                     break
@@ -355,12 +391,15 @@ def _branch_and_bound(
         ):
             cand ^= low
             if size < ceiling:
-                hv = half[v] if xmask & ~simplicial else bet[v]
                 grown = 0
                 if low & simplicial:
-                    for u in xs:
-                        grown |= hv[u]
+                    # between two simplicial ends lies no simplicial vertex
+                    if (xmask | cand) & ~simplicial:
+                        hv = half[v] if xmask & ~simplicial else bet[v]
+                        for u in xs:
+                            grown |= hv[u]
                 else:
+                    hv = half[v] if xmask & ~simplicial else bet[v]
                     for u in xs:
                         grown |= hv[u] | half[u][v]
                 child = cand & ~grown
@@ -402,7 +441,12 @@ def solve(G: Graph, variant: str) -> Certificate:
     Both start with the cut vertices forbidden, found by one
     Hopcroft-Tarjan pass.  For gp that is the exchange lemma (``_gp``):
     some optimum holds no cut vertex.  Every search takes its candidates
-    as a bitmask, lowest vertex first.  The gp value pass is a
+    as a bitmask, lowest vertex first.  A search skips each row read
+    that cannot drop a candidate: an include among simplicial vertices
+    only, a Russian-doll step from a simplicial optimum to a simplicial
+    vertex, and a dual hull vertex that is the first or steps in through
+    a cut vertex of the hull (``_branch_and_bound``, ``_gp_doll``), so
+    dual on a path or a star builds no row.  The gp value pass is a
     Russian-doll search over the other vertices.  From the highest
     vertex down it fills a table, indexed by vertex, of the largest gp
     set among the vertices at or above each one: it first extends the
@@ -476,26 +520,38 @@ def _gp_doll(search: _Search):
     """The Russian-doll table of ``_gp`` and the mask of one optimum:
     ``doll[v]`` is the largest size of a gp set among the non-cut
     vertices at or above v, and ``doll[n]`` is 0.  A cut vertex copies
-    the entry above it."""
-    n, cuts, full = search.G.n, search.cuts, search.full
+    the entry above it.
+
+    The links of the last optimum are ORed in only when a test needs
+    them, for the members not yet linked.  Simplicial vertices lie
+    inside no geodesic, so any set of them is a gp set: while v and
+    every member are simplicial, v extends the optimum with no test, and
+    a star or a tree builds no row here."""
+    n, cuts, full, simplicial = search.G.n, search.cuts, search.full, search.simplicial
     doll = [0] * (n + 1)
-    best, held, links = [], 0, 0  # the last optimum, its mask, its links
+    best, held = [], 0  # the last optimum and its mask
+    linked, lmask, links = 0, 0, 0  # its first members, their mask, their links
     for v in range(n - 1, -1, -1):
         if cuts >> v & 1:
             doll[v] = doll[v + 1]
             continue
         new = (v,)  # the vertices that join the last optimum
-        if links >> v & 1:
-            # v does not extend it: search for a set one larger holding v,
-            # which replaces it when found
-            c, above = doll[v + 1], full & ~((2 << v) - 1)
-            _, new = _branch_and_bound(search, above & ~cuts, False, c, c + 1, new, doll)
-            if new:
-                best, held, links = [], 0, 0
-        for u in new:
-            links |= search.links(u, best, held)
-            best.append(u)
-            held |= 1 << u
+        if not simplicial >> v & 1 or held & ~simplicial:
+            for u in best[linked:]:
+                links |= search.links(u, best[:linked], lmask)
+                linked += 1
+                lmask |= 1 << u
+            if links >> v & 1:
+                # v does not extend it: search for a set one larger holding
+                # v, which replaces it when found
+                c, above = doll[v + 1], full & ~((2 << v) - 1)
+                _, new = _branch_and_bound(
+                    search, above & ~cuts, False, c, c + 1, new, doll
+                )
+                if new:
+                    best, held, linked, lmask, links = [], 0, 0, 0, 0
+        best.extend(new)
+        held |= sum(1 << u for u in new)
         doll[v] = len(best)
     return doll, held
 

@@ -35,6 +35,7 @@ from genpos.errors import (
 from genpos.graphs import bits
 from genpos.position import (
     _branch_and_bound,
+    _dual,
     _gp,
     _gp_decisions,
     _gp_doll,
@@ -469,6 +470,60 @@ def test_solver_oracle_agreement_glued_at_a_cut_vertex(
         )
 
 
+def _tree_with_chords(n, seed, data):
+    # a random tree, 0 to n/3 chords and a random labelling: many cut
+    # vertices and blocks, and candidates both simplicial and not, where
+    # the searches skip the rows that cannot drop a candidate
+    tree = set(random_tree(n, seed).edges())
+    others = [e for e in itertools.combinations(range(n), 2) if e not in tree]
+    chords = data.draw(
+        st.lists(st.sampled_from(others), max_size=n // 3, unique=True)
+        if others
+        else st.just([]),
+        label="chords",
+    )
+    label = data.draw(st.permutations(range(n)), label="labelling")
+    return build_graph(n, [(label[u], label[v]) for u, v in [*tree, *chords]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=14),
+    seed=st.integers(min_value=0, max_value=10**6),
+    data=st.data(),
+)
+def test_solver_oracle_agreement_on_trees_with_chords(n, seed, data):
+    G = _tree_with_chords(n, seed, data)
+    for variant in ("gp", "dual"):
+        cert, oracle = solve(G, variant), brute_force(G, variant)
+        assert (cert.value, tuple(cert.witness)) == (
+            oracle.value,
+            tuple(oracle.witness),
+        )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=19, max_value=60),
+    seed=st.integers(min_value=0, max_value=10**6),
+    data=st.data(),
+)
+def test_gp_and_dual_past_the_oracle_under_relabelling(n, seed, data):
+    # past the oracle's range: a relabelling keeps each value, each
+    # witness is a set of its variant, and total <= dual <= gp
+    G = _tree_with_chords(n, seed, data)
+    label = data.draw(st.permutations(range(n)), label="relabelling")
+    H = build_graph(n, [(label[u], label[v]) for u, v in G.edges()])
+    total = solve(G, "total").value
+    values = []
+    for variant in ("dual", "gp"):
+        cert = solve(G, variant)
+        assert solve(H, variant).value == cert.value, variant
+        assert is_variant_set(G, all_pairs_distances(G), cert.witness, variant)
+        values.append(cert.value)
+    assert total <= values[0] <= values[1]
+
+
 def _doll_against_the_oracle(G):
     # doll[v] of the gp value pass, on the search object that solve
     # builds, must be the largest gp set among the non-cut vertices at or
@@ -659,6 +714,25 @@ def test_gp_on_a_long_path_reads_three_rows(spec_graph):
     search = _Search(spec_graph("path:200"))
     assert _gp(search) == (2, (0, 1))
     assert len(search.bet) <= 3 and len(search) <= 1
+
+
+@pytest.mark.parametrize("spec", ["path:200", "star:200"])
+def test_dual_on_a_path_or_a_star_reads_no_row(spec, spec_graph):
+    # the candidates are the leaves, all simplicial, so an include reads no
+    # row; every hull vertex is the first one or steps through a cut
+    # vertex already in the hull, so the hull reads none either
+    search = _Search(spec_graph(spec))
+    value, _ = _dual(search)
+    assert value == {"path:200": 2, "star:200": 200}[spec]
+    assert len(search.bet) == 0 and len(search) == 0
+
+
+def test_gp_on_a_star_reads_three_rows(spec_graph):
+    # every leaf extends the last optimum with no link test, and only the
+    # witness decision on the centre reads rows
+    search = _Search(spec_graph("star:200"))
+    assert _gp(search) == (200, tuple(range(1, 201)))
+    assert len(search.bet) <= 3
 
 
 def test_gp_on_a_tree_builds_fewer_rows_than_vertices(spec_graph):
