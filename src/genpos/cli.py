@@ -232,12 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=_cmd_gen)
 
     compute = sub.add_parser("compute", help="solve one invariant with certificate")
-    compute.add_argument(
-        "--invariant", required=True, choices=VARIANTS + ("all",)
-    )
-    compute.add_argument("-i", "--input", required=True, metavar="FILE")
-    compute.add_argument("--json", action="store_true")
-    compute.add_argument("--quiet", action="store_true", help="value only")
     compute.set_defaults(func=_cmd_compute)
 
     srg = sub.add_parser("srg", help="emit the strong resolving graph")
@@ -246,14 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     srg.set_defaults(func=_cmd_srg)
 
     oracle = sub.add_parser("oracle", help="exhaustive subset-enumeration baseline")
-    oracle.add_argument(
-        "--invariant", required=True, choices=VARIANTS + ("all",)
-    )
-    oracle.add_argument("-i", "--input", required=True, metavar="FILE")
-    oracle.add_argument("--max-n", type=int, default=18, dest="max_n")
-    oracle.add_argument("--json", action="store_true")
-    oracle.add_argument("--quiet", action="store_true", help="value only")
     oracle.set_defaults(func=_cmd_oracle)
+    for cmd in (compute, oracle):
+        cmd.add_argument("--invariant", required=True, choices=VARIANTS + ("all",))
+        cmd.add_argument("-i", "--input", required=True, metavar="FILE")
+        if cmd is oracle:
+            cmd.add_argument("--max-n", type=int, default=18, dest="max_n")
+        cmd.add_argument("--json", action="store_true")
+        cmd.add_argument("--quiet", action="store_true", help="value only")
 
     check = sub.add_parser("check", help="run a law suite")
     check.add_argument(

@@ -12,19 +12,9 @@ from dataclasses import dataclass
 from .errors import GenerationError, SpecError
 from .graphs import Graph, build_graph, is_connected
 
-FAMILIES = (
-    "path",
-    "cycle",
-    "complete",
-    "complete_bipartite",
-    "edgeless",
-    "star",
-    "theta",
-    "gm_join",
-    "chain_cycles",
-)
-
 PRODUCT_KINDS = ("cartesian", "direct", "strong")
+
+_MAX_TRIES = 200  # draws random_connected makes before it gives up
 
 
 @dataclass(frozen=True)
@@ -50,11 +40,6 @@ class FamilySpec:
         return f"{self.family}:{','.join(str(p) for p in self.params)}"
 
 
-def _need(spec: FamilySpec, arity: int):
-    if len(spec.params) != arity:
-        raise SpecError(f"{spec.family} takes {arity} parameter(s), got {len(spec.params)}")
-
-
 def generate(spec: FamilySpec):
     """Build the graph for spec.  Returns (Graph, label map).
 
@@ -63,62 +48,30 @@ def generate(spec: FamilySpec):
     chain of cycles, and x, x', p1, pm for the join of a path with two
     isolated vertices.
     """
-    fam = spec.family
-    if fam == "path":
-        _need(spec, 1)
-        (n,) = spec.params
-        if n < 1:
-            raise SpecError("path needs n >= 1")
-        return build_graph(n, [(i, i + 1) for i in range(n - 1)]), {}
-    if fam == "cycle":
-        _need(spec, 1)
-        (n,) = spec.params
-        if n < 3:
-            raise SpecError("cycle needs n >= 3")
-        return build_graph(n, [(i, (i + 1) % n) for i in range(n)]), {}
-    if fam == "complete":
-        _need(spec, 1)
-        (n,) = spec.params
-        if n < 1:
-            raise SpecError("complete needs n >= 1")
-        return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)]), {}
-    if fam == "complete_bipartite":
-        _need(spec, 2)
-        r, t = spec.params
-        if r < 1 or t < 1:
-            raise SpecError("complete_bipartite needs both sides >= 1")
-        edges = [(u, r + w) for u in range(r) for w in range(t)]
-        return build_graph(r + t, edges), {}
-    if fam == "edgeless":
-        _need(spec, 1)
-        (n,) = spec.params
-        if n < 1:
-            raise SpecError("edgeless needs n >= 1")
-        return build_graph(n, []), {}
-    if fam == "star":
-        _need(spec, 1)
-        (k,) = spec.params
-        if k < 1:
-            raise SpecError("star needs >= 1 leaves")
-        return build_graph(k + 1, [(0, i) for i in range(1, k + 1)]), {"center": 0}
-    if fam == "theta":
-        return _theta(spec.params)
-    if fam == "gm_join":
-        _need(spec, 1)
-        (m,) = spec.params
-        if m < 1:
-            raise SpecError("gm_join needs m >= 1")
-        path, _ = generate(FamilySpec("path", (m,)))
-        iso, _ = generate(FamilySpec("edgeless", (2,)))
-        labels = {"p1": 0, "pm": m - 1, "x": m, "x'": m + 1}
-        return join(path, iso), labels
-    if fam == "chain_cycles":
-        _need(spec, 2)
-        return _chain_cycles(*spec.params)
-    raise SpecError(f"unknown family {fam!r}")
+    if spec.family not in _FAMILIES:
+        raise SpecError(f"unknown family {spec.family!r}")
+    least, build = _FAMILIES[spec.family]
+    if least is not None:
+        if len(spec.params) != len(least):
+            raise SpecError(
+                f"{spec.family} takes {len(least)} parameter(s), got {len(spec.params)}"
+            )
+        if any(p < low for p, low in zip(spec.params, least)):
+            raise SpecError(f"{spec.family} needs parameters >= {least}")
+    return build(*spec.params)
 
 
-def _theta(lengths):
+def _path(n: int):
+    return build_graph(n, [(i, i + 1) for i in range(n - 1)]), {}
+
+
+def _gm_join(m: int):
+    path, _ = _path(m)
+    labels = {"p1": 0, "pm": m - 1, "x": m, "x'": m + 1}
+    return join(path, build_graph(2, [])), labels
+
+
+def _theta(*lengths):
     """Two branch vertices a, b joined by internally disjoint paths.
 
     Path lengths must be sorted ascending with the second one >= 2, so at
@@ -157,10 +110,6 @@ def _chain_cycles(k: int, length: int):
     from that cycle's entry, the same diametral position the chain itself
     uses.
     """
-    if k < 1:
-        raise SpecError("chain_cycles needs k >= 1")
-    if length < 4:
-        raise SpecError("chain_cycles needs cycle length >= 4")
     half = length // 2
     ring = list(range(length))
     edges = [(ring[i], ring[(i + 1) % length]) for i in range(length)]
@@ -176,6 +125,35 @@ def _chain_cycles(k: int, length: int):
     edges.append((attach, pendant))
     labels = {"u": pendant, "v": attach}
     return build_graph(nxt + 1, edges), labels
+
+
+# family -> (least value of each parameter, builder of (Graph, label map));
+# theta takes any number of lengths, so its builder checks them itself
+_FAMILIES = {
+    "path": ((1,), _path),
+    "cycle": ((3,), lambda n: (build_graph(n, [(i, (i + 1) % n) for i in range(n)]), {})),
+    "complete": (
+        (1,),
+        lambda n: (build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)]), {}),
+    ),
+    "complete_bipartite": (
+        (1, 1),
+        lambda r, t: (
+            build_graph(r + t, [(u, w) for u in range(r) for w in range(r, r + t)]),
+            {},
+        ),
+    ),
+    "edgeless": ((1,), lambda n: (build_graph(n, []), {})),
+    "star": (
+        (1,),
+        lambda k: (build_graph(k + 1, [(0, i) for i in range(1, k + 1)]), {"center": 0}),
+    ),
+    "theta": (None, _theta),
+    "gm_join": ((1,), _gm_join),
+    "chain_cycles": ((1, 4), _chain_cycles),
+}
+
+FAMILIES = tuple(_FAMILIES)
 
 
 def product(G: Graph, H: Graph, kind: str) -> Graph:
@@ -214,11 +192,11 @@ def join(G: Graph, H: Graph) -> Graph:
     return build_graph(G.n + H.n, edges)
 
 
-def random_connected(n: int, p: float, seed: int, max_tries: int = 200) -> Graph:
+def random_connected(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) resampled until connected.
 
-    Deterministic for a fixed (n, p, seed).  Raises GenerationError once
-    the retry budget runs out.
+    Deterministic for a fixed (n, p, seed).  Raises GenerationError after
+    ``_MAX_TRIES`` draws with none connected.
     """
     if n < 1:
         raise SpecError("random_connected needs n >= 1")
@@ -226,13 +204,13 @@ def random_connected(n: int, p: float, seed: int, max_tries: int = 200) -> Graph
         raise SpecError("random_connected needs 0 < p <= 1")
     rng = random.Random(seed)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         edges = [e for e in pairs if rng.random() < p]
         candidate = build_graph(n, edges)
         if is_connected(candidate):
             return candidate
     raise GenerationError(
-        f"no connected graph in {max_tries} draws for n={n}, p={p}, seed={seed}"
+        f"no connected graph in {_MAX_TRIES} draws for n={n}, p={p}, seed={seed}"
     )
 
 

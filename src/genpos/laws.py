@@ -476,7 +476,10 @@ def _family(spec: str) -> Graph:
     return generate(FamilySpec.parse(spec))[0]
 
 
-def _family_rows(tree_count: int, tree_seed: int):
+_TREE_SEED = 0  # seed of the family suite's first random tree
+
+
+def _family_rows(tree_count: int):
     """Yield the rows of ``_value_reports`` for the family laws, one at a
     time, so only one graph is alive at once."""
     for n in range(2, 13):
@@ -520,9 +523,9 @@ def _family_rows(tree_count: int, tree_seed: int):
             yield "cycle-chain-dual-values", spec, _family(spec), text, dict(dual=value)
     for i in range(tree_count):
         n = 2 + (i % 11)
-        G = random_tree(n, tree_seed + i)
+        G = random_tree(n, _TREE_SEED + i)
         leaves = sum(1 for v in range(n) if G.degree(v) == 1)
-        instance = f"tree(seed={tree_seed + i},n={n})"
+        instance = f"tree(seed={_TREE_SEED + i},n={n})"
         text = f"all four equal leaf count {leaves}"
         expected = dict.fromkeys(VARIANTS, leaves)
         yield "block-graph-four-equal", instance, G, text, expected
@@ -553,14 +556,14 @@ def _family_rows(tree_count: int, tree_seed: int):
         yield "bipartite-strong-product-outer", instance, S, text, expected
 
 
-def check_families(tree_count: int = 50, tree_seed: int = 0) -> list[LawReport]:
+def check_families(tree_count: int = 50) -> list[LawReport]:
     """Closed-form expectations on the named families.
 
     Paths, cycles, theta graphs, joins of a path with two isolated
     vertices, chains of cycles, block graphs (trees and complete graphs),
     and outer values of strong products of complete bipartite graphs.
     """
-    reports = _value_reports(_family_rows(tree_count, tree_seed))
+    reports = _value_reports(_family_rows(tree_count))
     reports.append(check_dual_not_hereditary())
     return reports
 

@@ -739,7 +739,8 @@ def variant_feasibility(D: DistMatrix, variant: str) -> int:
     bitmask, satisfies the variant iff ``table >> X & 1``.
 
     Pure quantifier evaluation over the betweenness structure, no
-    characterizations involved; ``brute_force`` builds the same table.
+    characterizations involved; ``brute_force`` reads its answer off this
+    table.
     """
     _check_variant(variant)
     member = _membership(D.n)
@@ -763,12 +764,10 @@ def brute_force(G: Graph, variant: str, max_n: int = 18) -> Certificate:
         raise SizeError(f"brute force capped at n <= {max_n}, got n = {G.n}")
     if not is_connected(G):
         raise DisconnectedError("brute force needs a connected graph")
-    member = _membership(G.n)
-    bet = interval_masks(all_pairs_distances(G))
-    table = _pair_tables(bet, member, variant)[variant]
+    table = variant_feasibility(all_pairs_distances(G), variant)
     value, ties = _largest(table, _levels(G.n))
     witness = []
-    for v, in_v in enumerate(member):
+    for v, in_v in enumerate(_membership(G.n)):
         if ties & in_v:
             ties &= in_v
             witness.append(v)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import genpos.laws
 from genpos import FamilySpec, generate
 from genpos.cli import format_graph, main, read_graph, write_graph
 from genpos.errors import SpecError
@@ -210,6 +211,21 @@ def test_check_suite_passes(capsys):
     lines = out.splitlines()
     assert lines[-1].endswith("0 failures")
     assert all(line.startswith("PASS") for line in lines[:-1])
+
+
+def test_check_law_failure_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(genpos.laws, "_adjacent_pair_literal", lambda G, D, x, y: False)
+    code, out, _ = run(capsys, "check", "--suite", "structural")
+    assert code == 1
+    lines = out.splitlines()
+    failed = [i for i, line in enumerate(lines) if line.startswith("FAIL ")]
+    assert failed and lines[-1].endswith(f"{len(failed)} failures")
+    assert any(lines[i].startswith("FAIL adjacent-pair-three-way @ ") for i in failed)
+    for i in failed:
+        prefix = "  counterexample: "
+        assert lines[i + 1].startswith(prefix)
+        replay = json.loads(lines[i + 1][len(prefix):])
+        assert {"n", "edges"} <= set(replay)
 
 
 @pytest.mark.parametrize("suite", ["products", "families"])

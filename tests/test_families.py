@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from genpos import (
@@ -102,17 +104,33 @@ def test_chain_cycles_shape():
     assert sorted(G.degree(w) for w in range(G.n)).count(4) == 1
 
 
-@pytest.mark.parametrize("params", [(0, 4), (1, 3), (2, 2)])
-def test_chain_cycles_rejects_bad_params(params):
-    with pytest.raises(SpecError):
-        generate(FamilySpec("chain_cycles", params))
-
-
-def test_family_arity_checked():
-    with pytest.raises(SpecError):
-        generate(FamilySpec("path", (3, 4)))
-    with pytest.raises(SpecError):
-        generate(FamilySpec("gm_join", ()))
+@pytest.mark.parametrize(
+    "row",
+    [
+        ("path", (1,), [(3, 4)]),
+        ("cycle", (3,), []),
+        ("complete", (1,), []),
+        ("complete_bipartite", (1, 1), []),
+        ("edgeless", (1,), []),
+        ("star", (1,), []),
+        ("gm_join", (1,), [()]),
+        ("chain_cycles", (1, 4), [(2, 2)]),
+    ],
+    ids=lambda row: row[0],
+)
+def test_family_least_parameters(row):
+    family, least, rejected = row
+    G, _ = generate(FamilySpec(family, least))
+    assert G.n >= 1
+    message = re.escape(f"{family} needs parameters >= {least}")
+    for i in range(len(least)):
+        below = least[:i] + (least[i] - 1,) + least[i + 1 :]
+        with pytest.raises(SpecError, match=message):
+            generate(FamilySpec(family, below))
+    # one parameter too few or too many, and the cases listed
+    for params in [least[:-1], least + least[:1]] + rejected:
+        with pytest.raises(SpecError):
+            generate(FamilySpec(family, params))
 
 
 def test_cartesian_product_of_edges_is_square():
@@ -216,7 +234,10 @@ def test_families_registry_is_generable():
         "gm_join": (5,),
         "chain_cycles": (1, 4),
     }
-    assert set(defaults) == set(FAMILIES)
+    assert tuple(defaults) == FAMILIES
     for family, params in defaults.items():
         G, _ = generate(FamilySpec(family, params))
         assert G.n >= 1
+    # FamilySpec.parse is not the only way to name a family
+    with pytest.raises(SpecError, match="unknown family 'nosuch'"):
+        generate(FamilySpec("nosuch", (3,)))

@@ -45,6 +45,8 @@ def test_out_of_range_endpoint_rejected():
         build_graph(3, [(0, 3)])
     with pytest.raises(IndexError):
         build_graph(3, [(-1, 2)])
+    with pytest.raises(ValueError):
+        Graph(-1)
 
 
 def test_graph_equality_and_hash():
@@ -62,6 +64,9 @@ def test_vertex_set_behaviour():
     assert VertexSet.from_mask(6, W.mask) == W
     with pytest.raises(IndexError):
         VertexSet(3, [3])
+    for mask in (-1, 1 << 3):
+        with pytest.raises(IndexError):
+            VertexSet.from_mask(3, mask)
 
 
 def test_induced_subgraph_relabels_in_order():

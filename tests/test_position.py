@@ -107,6 +107,11 @@ def test_variant_names_validated():
         is_variant_set(P, D, VertexSet(3, [0]), "median")
     with pytest.raises(ValueError):
         solve(P, "median")
+    # a set or a distance table of another order
+    with pytest.raises(ValueError):
+        is_variant_set(P, D, VertexSet(4, [0]), "gp")
+    with pytest.raises(ValueError):
+        is_variant_set(P, all_pairs_distances(_family("path:4")), VertexSet(3, [0]), "gp")
 
 
 # ------------------------------------------------------------------- solvers
@@ -186,6 +191,8 @@ def test_certificate_fields_and_methods():
     assert solve(C5, "outer").method == "clique"
     assert solve(C5, "gp").method == "branch_and_bound"
     assert brute_force(C5, "gp").method == "exhaustive"
+    with pytest.raises(ValueError):
+        Certificate("dual", 3, cert.witness, "branch_and_bound")
 
 
 def test_witness_is_a_variant_set_of_claimed_size():
