@@ -104,6 +104,12 @@ def test_chain_cycles_shape():
     assert sorted(G.degree(w) for w in range(G.n)).count(4) == 1
 
 
+@pytest.mark.parametrize("params", [(0, 4), (1, 3), (2, 2)])
+def test_chain_cycles_rejects_bad_params(params):
+    with pytest.raises(SpecError):
+        generate(FamilySpec("chain_cycles", params))
+
+
 @pytest.mark.parametrize(
     "row",
     [
@@ -114,7 +120,7 @@ def test_chain_cycles_shape():
         ("edgeless", (1,), []),
         ("star", (1,), []),
         ("gm_join", (1,), [()]),
-        ("chain_cycles", (1, 4), [(2, 2)]),
+        ("chain_cycles", (1, 4), []),
     ],
     ids=lambda row: row[0],
 )
