@@ -227,14 +227,19 @@ def random_tree(n: int, seed: int) -> Graph:
     degree = [1] * n
     for v in seq:
         degree[v] += 1
+    # each step joins the least leaf to the next entry; no unused leaf lies
+    # below ptr, so the least one is the vertex just freed when it is
+    # below ptr, else the first leaf past it
     edges = []
+    leaf = ptr = degree.index(1)
     for v in seq:
-        for leaf in range(n):
-            if degree[leaf] == 1:
-                edges.append((min(leaf, v), max(leaf, v)))
-                degree[leaf] -= 1
-                degree[v] -= 1
-                break
-    last = [v for v in range(n) if degree[v] == 1]
-    edges.append((min(last), max(last)))
+        edges.append((min(leaf, v), max(leaf, v)))
+        degree[leaf] -= 1
+        degree[v] -= 1
+        if degree[v] == 1 and v < ptr:
+            leaf = v
+        else:
+            leaf = ptr = degree.index(1, ptr + 1)
+    # n - 1 is never the least leaf, so it is the other vertex left
+    edges.append((leaf, n - 1))
     return build_graph(n, edges)

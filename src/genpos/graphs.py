@@ -270,7 +270,9 @@ def maximum_clique(G: Graph):
     """Exact maximum clique: (size, lexicographically least witness tuple).
 
     Size comes from a branch and bound bounded by greedy sequential
-    colouring (Tomita and Seki's MCQ).  The witness then comes from
+    colouring (Tomita and Seki's MCQ), run on the vertices that have a
+    neighbour: an isolated vertex is a clique only on its own, so a graph
+    with no edge answers at once.  The witness then comes from
     prefix decisions in ascending vertex order: v is pinned if the later
     common neighbours of the pins and v, less the rejected vertices,
     still hold a clique that completes the size, which the same
@@ -284,7 +286,12 @@ def maximum_clique(G: Graph):
 def _maximum_clique(nbr):
     """maximum_clique on the neighbour masks of a graph on 0..len(nbr)-1."""
     n = len(nbr)
-    size, first = _clique_search(nbr, (1 << n) - 1, 0, n)
+    linked = (1 << n) - 1
+    if 0 in nbr:  # an isolated vertex is a clique only on its own
+        linked = sum(1 << v for v, row in enumerate(nbr) if row)
+    if not linked:
+        return min(n, 1), tuple(range(min(n, 1)))
+    size, first = _clique_search(nbr, linked, 1, n)
     # pins counted so far, their mask and their common neighbours
     pinned = [0, 0, (1 << n) - 1]
 

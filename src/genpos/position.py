@@ -430,7 +430,10 @@ def solve(G: Graph, variant: str) -> Certificate:
     total uses the simplicial set directly and outer takes a maximum
     clique of the strong resolving graph; outer works on that graph's
     neighbour masks alone, from one bit-parallel BFS over the 2-core,
-    and builds no distance table and no Graph.  gp and dual run the same
+    and builds no distance table and no Graph.  It skips the
+    transpose of that table when every vertex is maximally distant from
+    all others or from none, and its clique search starts on the
+    vertices with a neighbour.  gp and dual run the same
     branch and bound over the betweenness conflicts, on tables held in
     one object per solve (``_Search``) and shared by every run.  No
     whole distance or interval table is built: a row of intervals is

@@ -114,11 +114,21 @@ def _strong_resolving_rows(G: Graph) -> list:
 
     u and v are adjacent iff u is maximally distant from v and v from u,
     that is, column v of the maximally distant table ANDed with row v.
-    Read from the last column up, row v of the columns written in binary
-    is the row mask in binary, so ``zip`` transposes the whole table at
-    once.
+
+    A column is full when its vertex is maximally distant from every
+    other vertex, as every simplicial vertex is.  When every non-empty
+    column is full, the table is already symmetric: the full vertices,
+    the ends, are pairwise adjacent and every other vertex is isolated.
+    Trees, paths, stars, complete graphs and block graphs take that exit.
+    Otherwise, read from the last column up, row v of the columns written
+    in binary is the row mask in binary, so ``zip`` transposes the whole
+    table at once.
     """
     cols = _maximally_distant_columns(G)
+    full = (1 << G.n) - 1
+    if not any(col and col != full ^ 1 << v for v, col in enumerate(cols)):
+        ends = sum(1 << v for v, col in enumerate(cols) if col)
+        return [ends ^ 1 << v if col else 0 for v, col in enumerate(cols)]
     width = f"0{G.n}b"
     digits = [format(col, width).encode() for col in reversed(cols)]
     rows = [int(bytes(row), 2) for row in zip(*digits)]

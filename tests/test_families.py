@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -226,6 +227,31 @@ def test_random_tree_properties():
         assert T.n == n and T.m == n - 1
         assert is_connected(T)
     assert random_tree(8, 3) == random_tree(8, 3)
+
+
+def _quadratic_pruefer_tree(n, seed):
+    # the textbook decode: rescan for the least leaf on every step
+    if n <= 2:
+        return build_graph(n, [(0, 1)] if n == 2 else [])
+    rng = random.Random(seed)
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = next(u for u in range(n) if degree[u] == 1)
+        edges.append((min(leaf, v), max(leaf, v)))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    edges.append(tuple(u for u in range(n) if degree[u] == 1))
+    return build_graph(n, edges)
+
+
+def test_random_tree_matches_the_quadratic_pruefer_decode():
+    grid = [(n, seed) for n in range(1, 80) for seed in range(20)]
+    for n, seed in grid + [(500, 1), (2000, 1)]:
+        assert random_tree(n, seed) == _quadratic_pruefer_tree(n, seed), (n, seed)
 
 
 def test_families_registry_is_generable():

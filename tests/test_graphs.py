@@ -158,6 +158,23 @@ def test_maximum_clique_against_subset_enumeration(n, density, seed):
     assert maximum_clique(G) == _first_maximum_clique(G)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    density=st.floats(min_value=0.05, max_value=0.95),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_maximum_clique_with_isolated_vertices_against_subset_enumeration(
+    n, density, seed
+):
+    # isolated vertices at random labels: the search starts without them
+    rng = random.Random(seed)
+    isolated = set(rng.sample(range(n), rng.randrange(1, n + 1)))
+    pairs = itertools.combinations(sorted(set(range(n)) - isolated), 2)
+    G = build_graph(n, [e for e in pairs if rng.random() < density])
+    assert maximum_clique(G) == _first_maximum_clique(G)
+
+
 def _complete_on(n, members):
     return build_graph(n, list(itertools.combinations(members, 2)))
 
@@ -167,6 +184,10 @@ def _complete_on(n, members):
     [
         (build_graph(0), (0, ())),
         (build_graph(5), (1, (0,))),
+        (build_graph(1), (1, (0,))),
+        (build_graph(3), (1, (0,))),
+        # vertex 0 is isolated, so the search runs on 1 and 2 only
+        (build_graph(3, [(1, 2)]), (2, (1, 2))),
         # the whole graph is one colour per vertex, taken without a search
         (_complete_on(5, range(5)), (5, (0, 1, 2, 3, 4))),
         # the clique is found whole below the root
@@ -181,7 +202,16 @@ def _complete_on(n, members):
             (4, (0, 1, 5, 6)),
         ),
     ],
-    ids=["empty", "edgeless", "complete", "complete-plus-isolated", "c5-join-k2"],
+    ids=[
+        "empty",
+        "edgeless",
+        "edgeless-1",
+        "edgeless-3",
+        "k2-after-isolated",
+        "complete",
+        "complete-plus-isolated",
+        "c5-join-k2",
+    ],
 )
 def test_maximum_clique_pinned(G, expected):
     assert maximum_clique(G) == expected

@@ -10,12 +10,14 @@ from genpos import (
     clique_number,
     generate,
     is_mmd,
+    maximum_clique,
     product,
     random_connected,
     random_tree,
     strong_resolving_graph,
 )
 from genpos.errors import DegeneratePairError, DisconnectedError, EmptySetError
+import genpos.srg
 from genpos.srg import _maximally_distant_columns, _strong_resolving_rows
 
 
@@ -127,6 +129,49 @@ def test_maximally_distant_rows_need_the_transpose():
     assert cols == [0, 0b1101, 0b1011, 0b0111]
     # so the centre is isolated in the strong resolving graph
     assert _strong_resolving_rows(_family("star:3")) == [0, 0b1100, 0b1010, 0b0110]
+
+
+def _no_transpose(*args):
+    raise AssertionError("the rows were transposed")
+
+
+# every non-empty column is full: leaves, and the simplicial vertices of
+# complete and block graphs, are maximally distant from every other vertex
+_FULL_OR_EMPTY = {
+    f"{family}:{n}": _family(f"{family}:{n}")
+    for family, least in [("path", 2), ("star", 1), ("complete", 1)]
+    for n in range(least, least + 5)
+}
+_FULL_OR_EMPTY.update(
+    {f"random_tree:{n},{s}": random_tree(n, s) for n, s in [(7, 1), (12, 2), (20, 3)]}
+)
+_FULL_OR_EMPTY["two-triangles"] = build_graph(
+    5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]
+)
+
+
+@pytest.mark.parametrize("G", _FULL_OR_EMPTY.values(), ids=list(_FULL_OR_EMPTY))
+def test_srg_rows_without_the_transpose(G, monkeypatch):
+    monkeypatch.setattr(genpos.srg, "format", _no_transpose, raising=False)
+    _rows_match_is_mmd(G)
+
+
+def test_srg_rows_with_a_column_neither_full_nor_empty():
+    # a 4-cycle with vertex 4 pendant at 0: the leaf 4 is maximally distant
+    # from every other vertex, but vertex 2 only from 0 and 4
+    G = build_graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)])
+    cols = _maximally_distant_columns(G)
+    full = (1 << G.n) - 1
+    assert any(col not in (0, full ^ 1 << v) for v, col in enumerate(cols))
+    _rows_match_is_mmd(G)
+
+
+def test_star_srg_clique_is_its_leaves():
+    # the centre is isolated in the SRG and the leaves form one clique
+    assert maximum_clique(strong_resolving_graph(_family("star:5"))) == (
+        5,
+        (1, 2, 3, 4, 5),
+    )
 
 
 def test_mmd_pairs_on_path():
