@@ -26,7 +26,7 @@ from .errors import (
     SizeError,
     SpecError,
 )
-from .families import FamilySpec, generate, join, product
+from .families import FamilySpec, _decimal, generate, join, product
 from .graphs import Graph, build_graph
 from .laws import run_suite
 from .position import VARIANTS, brute_force, solve
@@ -43,7 +43,8 @@ _ALL_ORDER = ("gp", "outer", "total", "dual")
 
 
 def read_graph(path: str) -> Graph:
-    """Parse an edge-list file.
+    """Parse an edge-list file; its counts and vertices are ASCII decimal
+    integers.
 
     Every command that reads a graph needs it connected, so a file with
     more than m + 1 vertices fails before any graph is built.
@@ -66,7 +67,7 @@ def read_graph(path: str) -> Graph:
     if len(header) != 2:
         raise SpecError(f"{path}: header must be 'n m', got {lines[0]!r}")
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = _decimal(header[0]), _decimal(header[1])
     except ValueError as exc:
         raise SpecError(f"{path}: non-integer header {lines[0]!r}") from exc
     if n < 0 or m < 0:
@@ -79,7 +80,7 @@ def read_graph(path: str) -> Graph:
         if len(parts) != 2:
             raise SpecError(f"{path}: bad edge line {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _decimal(parts[0]), _decimal(parts[1])
         except ValueError as exc:
             raise SpecError(f"{path}: non-integer edge {line!r}") from exc
         if not (0 <= u < v < n):

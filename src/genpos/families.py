@@ -17,6 +17,17 @@ PRODUCT_KINDS = ("cartesian", "direct", "strong")
 _MAX_TRIES = 200  # draws random_connected makes before it gives up
 
 
+def _decimal(token: str) -> int:
+    """An ASCII decimal integer with an optional leading '-', between
+    optional spaces.  ``int`` alone also takes underscores, a '+' and other
+    scripts' digits; this raises ValueError for them, and for a token with
+    no digit."""
+    digits = token.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A family tag plus its integer parameters."""
@@ -26,12 +37,14 @@ class FamilySpec:
 
     @classmethod
     def parse(cls, text: str) -> "FamilySpec":
+        """``family:p1,p2,...``; each parameter is an ASCII decimal integer,
+        none may be empty, and ``family`` or ``family:`` has none."""
         name, _, rest = text.partition(":")
         name = name.strip()
         if name not in FAMILIES:
             raise SpecError(f"unknown family {name!r}")
         try:
-            params = tuple(int(tok) for tok in rest.split(",") if tok.strip())
+            params = tuple(map(_decimal, rest.split(","))) if rest.strip() else ()
         except ValueError as exc:
             raise SpecError(f"bad parameters in {text!r}") from exc
         return cls(name, params)

@@ -10,7 +10,7 @@ what the exact solvers in the rest of the package run on.
 
 from __future__ import annotations
 
-from .errors import DuplicateEdgeError, EmptySetError, LoopError
+from .errors import DisconnectedError, DuplicateEdgeError, EmptySetError, LoopError
 
 
 def bits(mask: int):
@@ -176,6 +176,22 @@ def is_connected(G: Graph) -> bool:
         frontier = reach & ~seen
         seen |= frontier
     return seen == (1 << G.n) - 1
+
+
+def _require_connected(G: Graph, what: str) -> None:
+    """The input contract of every solver, oracle and table: a connected
+    graph with at least one vertex.  ``what`` names the caller in the
+    message."""
+    if G.n == 0:
+        raise EmptySetError(f"{what} needs at least one vertex")
+    if not is_connected(G):
+        raise DisconnectedError(f"{what} needs a connected graph")
+
+
+def _is_clique(nbr, mask: int) -> bool:
+    """True iff the vertices of ``mask`` are pairwise adjacent in the graph
+    with neighbour masks ``nbr``; the empty set and singletons are."""
+    return all(mask & ~nbr[v] == 1 << v for v in bits(mask))
 
 
 def cut_components(G: Graph) -> dict:

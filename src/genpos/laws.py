@@ -20,9 +20,9 @@ from functools import reduce
 from itertools import combinations
 from operator import or_
 
-from .errors import DisconnectedError, SizeError, SpecError
+from .errors import SizeError, SpecError
 from .families import FamilySpec, generate, product, random_connected, random_tree
-from .graphs import Graph, VertexSet, bits, is_connected
+from .graphs import Graph, VertexSet, _is_clique, _require_connected, bits
 from .metric import (
     DistMatrix,
     all_pairs_distances,
@@ -262,13 +262,8 @@ def _adjacent_pair_literal(G: Graph, D: DistMatrix, x: int, y: int) -> bool:
         for v in union[i + 1 :]:
             if du[v] > 2:
                 return False
-    for center, other in ((x, y), (y, x)):
-        rest = [u for u in G.adj[center] if u != other]
-        for i, u in enumerate(rest):
-            for v in rest[i + 1 :]:
-                if not G.has_edge(u, v):
-                    return False
-    return True
+    nbr = G.neighbor_masks
+    return _is_clique(nbr, nbr[x] & ~(1 << y)) and _is_clique(nbr, nbr[y] & ~(1 << x))
 
 
 # ---------------------------------------------------------------- sufficient
@@ -351,8 +346,8 @@ def check_products(G: Graph, H: Graph, name: str | None = None) -> list[LawRepor
     """
     if G.n < 2 or H.n < 2:
         raise SpecError("product laws need both factors of order >= 2")
-    if not is_connected(G) or not is_connected(H):
-        raise DisconnectedError("product laws need connected factors")
+    _require_connected(G, "each product factor")
+    _require_connected(H, "each product factor")
     if G.n * H.n > 36:
         raise SizeError(f"product checks capped at order 36, got {G.n * H.n}")
     name = name or f"product({G.n} x {H.n})"

@@ -10,13 +10,8 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .errors import (
-    DegeneratePairError,
-    DisconnectedError,
-    EmptySetError,
-    NotAnEdgeError,
-)
-from .graphs import Graph, VertexSet, is_connected
+from .errors import DegeneratePairError, NotAnEdgeError
+from .graphs import Graph, VertexSet, _require_connected
 
 
 class DistMatrix:
@@ -35,10 +30,7 @@ class DistMatrix:
 
 def all_pairs_distances(G: Graph) -> DistMatrix:
     """BFS from every vertex.  Requires a connected graph on >= 1 vertices."""
-    if G.n == 0:
-        raise EmptySetError("distance matrix needs at least one vertex")
-    if not is_connected(G):
-        raise DisconnectedError("all-pairs distances need a connected graph")
+    _require_connected(G, "a distance matrix")
     n, adj = G.n, G.adj
     rows = []
     for s in range(n):

@@ -27,15 +27,16 @@ from functools import reduce
 from itertools import chain
 from operator import or_
 
-from .errors import DegeneratePairError, DisconnectedError, EmptySetError, SizeError
+from .errors import DegeneratePairError, SizeError
 from .graphs import (
     Graph,
     VertexSet,
+    _is_clique,
     _lex_least,
     _maximum_clique,
+    _require_connected,
     bits,
     cut_components,
-    is_connected,
 )
 from .metric import DistMatrix, all_pairs_distances, interval_masks, simplicial_set
 from .srg import _strong_resolving_rows
@@ -92,12 +93,13 @@ def is_variant_set(G: Graph, D: DistMatrix, X: VertexSet, variant: str) -> bool:
 
     One loop over the pairs the variant names, on the distances ``D.d``
     alone: for each vertex u, the partners v that u must keep unblocked,
-    each pair once from its lower end, are tested against the members y
-    of X besides u and v with ``d[u][y] + d[y][v] == d[u][v]``.  An edge
-    has nothing between its ends, and a simplicial vertex lies inside no
-    geodesic, so it blocks no pair; only the members that are not
-    simplicial are tested, and the simplicial set is found once, up
-    front.  Cost O(n**2) per member that is not simplicial.
+    which the oracle's rule table ``_PAIR_RULES`` gives, each pair once
+    from its lower end, are tested against the members y of X besides u
+    and v with ``d[u][y] + d[y][v] == d[u][v]``.  An edge has nothing
+    between its ends, and a simplicial vertex lies inside no geodesic, so
+    it blocks no pair; only the members that are not simplicial are
+    tested, and the simplicial set is found once, up front.  Cost
+    O(n**2) per member that is not simplicial.
     """
     _check_variant(variant)
     if X.n != G.n or D.n != G.n:
@@ -106,18 +108,10 @@ def is_variant_set(G: Graph, D: DistMatrix, X: VertexSet, variant: str) -> bool:
     x = X.mask
     full = (1 << n) - 1
     inner = x & ~simplicial_set(G).mask  # the members that can block a pair
+    rule = _PAIR_RULES[variant]
     for u in range(n):
         bit = 1 << u
-        inside = x & bit
-        if variant == "gp":
-            partners = x if inside else 0
-        elif variant == "total":
-            partners = full
-        elif variant == "outer":
-            partners = full if inside else x
-        else:
-            partners = x if inside else full & ~x
-        partners &= ~((bit << 1) - 1) & ~nbr[u]
+        partners = rule(-(x >> u & 1), x) & full & ~((bit << 1) - 1) & ~nbr[u]
         others = inner & ~bit
         if not (partners and others):
             continue
@@ -472,10 +466,7 @@ def solve(G: Graph, variant: str) -> Certificate:
     on the recursion limit.
     """
     _check_variant(variant)
-    if G.n == 0:
-        raise EmptySetError("solve needs at least one vertex")
-    if not is_connected(G):
-        raise DisconnectedError("solve needs a connected graph")
+    _require_connected(G, "solve")
     if variant == "outer":
         size, witness = _maximum_clique(_strong_resolving_rows(G))
         return Certificate("outer", size, VertexSet(G.n, witness), "clique")
@@ -629,16 +620,12 @@ def _dual(search: _Search):
     break the convexity of the complement.
     """
     n, nbr, parts = search.G.n, search.G.neighbor_masks, search.parts
-
-    def clique(mask):
-        return all(not mask & ~nbr[v] & ~(1 << v) for v in bits(mask))
-
     apart = [
         comp | 1 << c
         for c, comps in parts.items()
         if len(comps) == 2
         for comp, other in (comps, comps[::-1])
-        if clique(comp | 1 << c) and clique(nbr[c] & other)
+        if _is_clique(nbr, comp | 1 << c) and _is_clique(nbr, nbr[c] & other)
     ]
     value, witness = _branch_and_bound(search, search.full & ~search.cuts, True, 0, n)
     top = max([value, *map(int.bit_count, apart)])
@@ -689,12 +676,17 @@ def _largest(table: int, levels) -> tuple:
 
 
 # Which pairs u, v of the graph a subset X must keep free of its own
-# members, by whether u and v lie in X, on membership tables: one rule
-# per variant but total, whose rule takes every pair, and one for the
-# subsets with a convex complement.  The result is ANDed with a table,
-# so a negative int here stands for its low 2**n bits.
+# members, by whether u and v lie in X: one rule per variant, and one for
+# the subsets with a convex complement.  The oracle passes membership
+# tables over all subsets; ``is_variant_set`` passes -1 or 0 for u and
+# the mask of X for v, and gets u's partners.  The result is ANDed with
+# a table or a vertex mask, so a negative int here stands for its low
+# bits.  ``_pair_tables`` does not call total's rule: every pair counts,
+# so its table is still built in one pass, from the union of all
+# interiors.
 _PAIR_RULES = {
     "gp": lambda in_u, in_v: in_u & in_v,
+    "total": lambda in_u, in_v: -1,
     "outer": lambda in_u, in_v: in_u | in_v,
     "dual": lambda in_u, in_v: ~(in_u ^ in_v),
     "convex complement": lambda in_u, in_v: ~(in_u | in_v),
@@ -761,12 +753,9 @@ def brute_force(G: Graph, variant: str, max_n: int = 18) -> Certificate:
     ties without it are dropped.
     """
     _check_variant(variant)
-    if G.n == 0:
-        raise EmptySetError("brute force needs at least one vertex")
     if G.n > max_n:
         raise SizeError(f"brute force capped at n <= {max_n}, got n = {G.n}")
-    if not is_connected(G):
-        raise DisconnectedError("brute force needs a connected graph")
+    _require_connected(G, "brute force")
     table = variant_feasibility(all_pairs_distances(G), variant)
     value, ties = _largest(table, _levels(G.n))
     witness = []

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-from itertools import zip_longest
-from operator import and_, invert, or_
-
-from .errors import DegeneratePairError, DisconnectedError, EmptySetError
-from .graphs import Graph, bits, is_connected
+from .errors import DegeneratePairError
+from .graphs import Graph, _require_connected, bits
 from .metric import DistMatrix
 
 
@@ -51,9 +48,10 @@ def _maximally_distant_columns(G: Graph) -> list:
        at distance k + 1, the sources u is not maximally distant from.
        Then ball[u] |= OR(ball[w]), until every ball is the whole core.
        Rounds start at k = 1: at k = 0 the only source in ball[u] is u,
-       which column u never holds.  Each round loops over neighbour slots,
-       not vertices: with the core sorted by degree, slot j is one ``map``
-       over the prefix of vertices with more than j neighbours.
+       which column u never holds.  Each round is one loop over the core
+       vertices, each over its neighbours in the core.  The balls are a
+       list indexed by vertex, whose entry off the core is never read and
+       holds the whole core, so one count tells when every ball is full.
     3. Expand.  A core vertex u with no tree hanging from it, and each of
        its neighbours, reach a vertex of the tree hanging at c only through
        c, so u is maximally distant from that vertex iff it is from c.
@@ -79,30 +77,28 @@ def _maximally_distant_columns(G: Graph) -> list:
         p = root[v]
         c = root[v] = root.get(p, p)
         hang[c] = hang.get(c, 0) | 1 << v
-    core = sorted((v for v in range(n) if deg[v]), key=deg.__getitem__, reverse=True)
-    pos = dict(zip(core, range(len(core))))
-    nbrs = [[pos[w] for w in adj[v] if deg[w]] for v in core]
-    slots = [[w for w in slot if w is not None] for slot in zip_longest(*nbrs)]
+    core = [v for v in range(n) if deg[v]]
     inner = sum(1 << v for v in core)
-    ball = [G.neighbor_masks[v] & inner | 1 << v for v in core]
-    bad = [0] * len(core)
+    nbrs = [[w for w in adj[v] if deg[w]] for v in core]
+    ball = [G.neighbor_masks[v] & inner | 1 << v if deg[v] else inner for v in range(n)]
+    bad = [0] * n
     while True:
-        get = ball.__getitem__
-        low = list(map(get, slots[0]))
-        grown = list(map(or_, ball, low))
-        for slot in slots[1:]:
-            got = list(map(get, slot))
-            k = len(got)
-            low[:k] = map(and_, low, got)
-            grown[:k] = map(or_, grown, got)
-        bad = list(map(or_, bad, map(and_, ball, map(invert, low))))
-        if grown.count(inner) == len(grown):
+        grown = ball[:]
+        for v, ws in zip(core, nbrs):
+            low = out = ball[v]
+            for w in ws:
+                b = ball[w]
+                low &= b
+                out |= b
+            bad[v] |= ball[v] & ~low
+            grown[v] = out
+        if grown.count(inner) == n:
             break
         ball = grown
     attach = sum(1 << c for c in hang)
-    for v, b in zip(core, bad):
+    for v in core:
         if v not in hang:
-            col = inner ^ b ^ 1 << v
+            col = inner ^ bad[v] ^ 1 << v
             for c in bits(col & attach):
                 col |= hang[c]
             cols[v] = col
@@ -145,8 +141,5 @@ def strong_resolving_graph(G: Graph) -> Graph:
     by construction, so the Graph is built from them without per-edge
     validation.
     """
-    if G.n == 0:
-        raise EmptySetError("strong resolving graph needs at least one vertex")
-    if not is_connected(G):
-        raise DisconnectedError("strong resolving graph needs a connected graph")
+    _require_connected(G, "the strong resolving graph")
     return Graph._from_masks(_strong_resolving_rows(G))

@@ -46,6 +46,9 @@ def test_reader_accepts_comments_and_blank_lines(tmp_path):
         "3 1\n0 1 2\n",
         "-1 0\n",
         b"2 1\n0 1\n\xff\xfe\n",  # not UTF-8
+        # int() reads the last endpoints as 10 and 2
+        "11 10\n" + "".join(f"{i} {i + 1}\n" for i in range(9)) + "9 1_0\n",
+        "3 2\n0 1\n1 \u0662\n",
     ],
 )
 def test_reader_rejects_malformed_files(tmp_path, content):

@@ -26,9 +26,18 @@ def test_spec_parse_round_trip():
     assert spec.family == "theta" and spec.params == (2, 3, 3)
     assert str(spec) == "theta:2,3,3"
     assert FamilySpec.parse(str(spec)) == spec
+    # no parameters, and a negative one, which generate rejects by its least value
+    assert FamilySpec.parse("theta").params == FamilySpec.parse("theta:").params == ()
+    assert FamilySpec.parse("path:-1").params == (-1,)
 
 
-@pytest.mark.parametrize("text", ["nosuch:3", "path:x", "theta:2,a"])
+# the last five hold an empty entry, or an underscore, a '+' or another
+# script's digit, which int() accepts
+@pytest.mark.parametrize(
+    "text",
+    ["nosuch:3", "path:x", "theta:2,a", "theta:2,,3,3", "theta:2,3,3,", "path:3_0",
+     "path:+3", "path:\u0663"],
+)
 def test_spec_parse_failures(text):
     with pytest.raises(SpecError):
         FamilySpec.parse(text)

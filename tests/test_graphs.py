@@ -17,7 +17,7 @@ from genpos import (
     random_tree,
 )
 from genpos.errors import DuplicateEdgeError, EmptySetError, LoopError
-from genpos.graphs import bits, cut_components
+from genpos.graphs import _is_clique, bits, cut_components
 
 
 def test_construction_and_adjacency():
@@ -136,13 +136,38 @@ def test_clique_number_against_subset_enumeration():
         assert clique_number(G) == best, (n, edges)
 
 
+def _pairwise_adjacent(G, vertices):
+    return all(G.has_edge(u, v) for u, v in itertools.combinations(vertices, 2))
+
+
 def _first_maximum_clique(G):
     # largest size first, then the first clique in lexicographic order
     for size in range(G.n, 0, -1):
         for sub in itertools.combinations(range(G.n), size):
-            if all(G.has_edge(u, v) for u, v in itertools.combinations(sub, 2)):
+            if _pairwise_adjacent(G, sub):
                 return size, sub
     return 0, ()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=12),
+    density=st.floats(min_value=0.05, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=10**6),
+    drawn=st.integers(min_value=0, max_value=(1 << 12) - 1),
+)
+def test_is_clique_against_pairwise_adjacency(n, density, seed, drawn):
+    rng = random.Random(seed)
+    pairs = itertools.combinations(range(n), 2)
+    G = build_graph(n, [e for e in pairs if rng.random() < density])
+    # the empty mask, every singleton, a drawn mask, and a maximum clique
+    # with and without one more vertex, so both answers occur
+    top = sum(1 << v for v in _first_maximum_clique(G)[1])
+    masks = [0, *(1 << v for v in range(n)), drawn & ((1 << n) - 1), top]
+    masks += [top | 1 << v for v in range(n)]
+    for mask in masks:
+        expected = _pairwise_adjacent(G, list(bits(mask)))
+        assert _is_clique(G.neighbor_masks, mask) == expected, (n, list(G.edges()), mask)
 
 
 @settings(max_examples=80, deadline=None)
