@@ -42,6 +42,15 @@ _EXIT_BROKEN_PIPE = 141
 _ALL_ORDER = ("gp", "outer", "total", "dual")
 
 
+def _two_integers(path: str, what: str, line: str) -> tuple:
+    try:
+        # a count other than two fails to unpack, which is a ValueError too
+        first, second = map(_decimal, line.split())
+    except ValueError as exc:
+        raise SpecError(f"{path}: {what} must be two integers, got {line!r}") from exc
+    return first, second
+
+
 def read_graph(path: str) -> Graph:
     """Parse an edge-list file; its counts and vertices are ASCII decimal
     integers.
@@ -63,26 +72,14 @@ def read_graph(path: str) -> Graph:
     ]
     if not lines:
         raise SpecError(f"{path}: no data lines")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise SpecError(f"{path}: header must be 'n m', got {lines[0]!r}")
-    try:
-        n, m = _decimal(header[0]), _decimal(header[1])
-    except ValueError as exc:
-        raise SpecError(f"{path}: non-integer header {lines[0]!r}") from exc
+    n, m = _two_integers(path, "header 'n m'", lines[0])
     if n < 0 or m < 0:
         raise SpecError(f"{path}: negative count in header")
     if len(lines) - 1 != m:
         raise SpecError(f"{path}: header says {m} edges, found {len(lines) - 1}")
     edges = []
     for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise SpecError(f"{path}: bad edge line {line!r}")
-        try:
-            u, v = _decimal(parts[0]), _decimal(parts[1])
-        except ValueError as exc:
-            raise SpecError(f"{path}: non-integer edge {line!r}") from exc
+        u, v = _two_integers(path, "edge 'u v'", line)
         if not (0 <= u < v < n):
             raise SpecError(f"{path}: edge {line!r} violates 0 <= u < v < n={n}")
         edges.append((u, v))
@@ -128,40 +125,32 @@ def _cmd_gen(args) -> int:
 
 
 def _emit_values(G: Graph, args, solver) -> int:
-    if args.invariant == "all":
-        values = {variant: solver(G, variant).value for variant in _ALL_ORDER}
-        if args.json:
-            print(json.dumps(values))
-        elif args.quiet:
-            for variant in _ALL_ORDER:
-                print(values[variant])
-        else:
-            for variant in _ALL_ORDER:
-                print(f"{variant} = {values[variant]}")
-        return 0
+    single = args.invariant != "all"
     start = time.perf_counter()
-    cert = solver(G, args.invariant)
+    certs = [solver(G, v) for v in ((args.invariant,) if single else _ALL_ORDER)]
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    witness = sorted(cert.witness)
-    if args.json:
+    if args.json and not single:
+        print(json.dumps({cert.variant: cert.value for cert in certs}))
+    elif args.json:
+        (cert,) = certs
         print(
             json.dumps(
                 {
                     "graph": {"n": G.n, "m": G.m},
                     "invariant": cert.variant,
                     "value": cert.value,
-                    "witness": witness,
+                    "witness": sorted(cert.witness),
                     "method": cert.method,
                     "elapsed_ms": round(elapsed_ms, 3),
                 }
             )
         )
-    elif args.quiet:
-        print(cert.value)
     else:
-        print(f"{cert.variant} = {cert.value}")
-        print(f"witness = {' '.join(map(str, witness))}")
-        print(f"method = {cert.method}")
+        for cert in certs:
+            print(cert.value if args.quiet else f"{cert.variant} = {cert.value}")
+            if single and not args.quiet:
+                print(f"witness = {' '.join(map(str, sorted(cert.witness)))}")
+                print(f"method = {cert.method}")
     return 0
 
 

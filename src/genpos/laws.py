@@ -35,6 +35,7 @@ from .position import (
     VARIANTS,
     _largest,
     _levels,
+    _meets,
     _membership,
     _pair_tables,
     is_variant_set,
@@ -191,9 +192,7 @@ def check_structural(G: Graph, name: str | None = None) -> list[LawReport]:
 
     simp = simplicial_set(G)
     R = strong_resolving_graph(G)
-    outside = 0
-    for w in bits(full & ~simp.mask):
-        outside |= member[w]
+    outside = _meets(member, full & ~simp.mask)
     # apart: the subsets holding a pair that is not mutually maximally
     # distant; edges, literal and others: tables of 2-subsets
     apart = edges = literal = others = 0
@@ -395,11 +394,7 @@ def check_products(G: Graph, H: Graph, name: str | None = None) -> list[LawRepor
         if len(boxes) > 300:
             boxes = rng.sample(boxes, 300)
         for a, b in boxes:
-            mask = 0
-            for g in bits(a):
-                for h in bits(b):
-                    mask |= 1 << (g * H.n + h)
-            samples.add(mask)
+            samples.add(sum(b << g * H.n for g in bits(a)))
     rng = random.Random(G.n * 7919 + H.n)
     for _ in range(200):
         samples.add(rng.randrange(1 << P.n))

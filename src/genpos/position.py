@@ -153,10 +153,13 @@ class _Intervals(dict):
     recurrence of ``interval_masks``: a vertex v is scanned only after
     every vertex closer to a, so its neighbours one step closer already
     have their entries, and the interior of I(a, v) is the OR of those
-    neighbours and their interiors.  Where row v is already built, its
-    entry a is the same interval, and that int is shared instead of
-    built again.  O(n + m) per row, and a solve builds only the rows its
-    search reads.
+    neighbours and their interiors.  Each row reads no other: taking
+    entry a of an already built row v instead, the same interval, saved
+    nothing measurable (gp on ``random_connected:60,0.1,1`` and
+    ``random_tree:500,1``, and the search and large-sparse op sets of
+    ``perfbench``, timed both ways in one process on 2 shared vCPUs
+    under Python 3.11: every difference within the run-to-run spread).
+    O(n + m) per row, and a solve builds only the rows its search reads.
     """
 
     def __init__(self, adj):
@@ -164,23 +167,22 @@ class _Intervals(dict):
         self.dist = {}
 
     def __missing__(self, a: int) -> list:
-        adj, built = self.adj, self.get
+        adj = self.adj
         dist = [-1] * len(adj)
         dist[a] = 0
         row = [0] * len(adj)
         order = [a]
         for v in order:  # the BFS queue, appended to as it is read
             up = dist[v] - 1
-            other = built(v)
             r = 0
             for w in adj[v]:
                 dw = dist[w]
                 if dw < 0:
                     dist[w] = up + 2
                     order.append(w)
-                elif dw == up and up and other is None:  # a is no interior
+                elif dw == up and up:  # a is no interior
                     r |= row[w] | 1 << w
-            row[v] = r if other is None else other[a]
+            row[v] = r
         self.dist[a] = dist
         self[a] = row
         return row
@@ -197,8 +199,9 @@ class _Search(dict):
     through all of a, b and w.  No whole distance or interval table is
     built, and the searches skip three kinds of read that cannot drop a
     candidate (``_branch_and_bound``, ``_gp_doll``).  ``links`` reads no
-    row for an empty set, and ``behind_a_cut`` tells the dual hull which
-    of its vertices need none."""
+    row for an empty set, ``link_up`` keeps the OR of the links of a
+    growing gp set, and ``behind_a_cut`` tells the dual hull which of its
+    vertices need none."""
 
     def __init__(self, G: Graph):
         self.G = G
@@ -231,6 +234,16 @@ class _Search(dict):
             for u in xs:
                 out |= hv[u] | self[u][v]
         return out
+
+    def link_up(self, xs, mask: int, links: int):
+        """Extends ``links``, the OR of the conflict links of the pairs
+        of the first members of ``xs``, whose mask is ``mask``, to the
+        whole list; returns its mask and its links.  A growing set calls
+        it each time it needs its links, and so links each member once."""
+        for k in range(mask.bit_count(), len(xs)):
+            links |= self.links(xs[k], xs[:k], mask)
+            mask |= 1 << xs[k]
+        return mask, links
 
     def behind_a_cut(self, w: int, closed: int) -> bool:
         """True iff w has a neighbour p in ``closed`` that is a cut vertex
@@ -516,25 +529,23 @@ def _gp_doll(search: _Search):
     vertices at or above v, and ``doll[n]`` is 0.  A cut vertex copies
     the entry above it.
 
-    The links of the last optimum are ORed in only when a test needs
-    them, for the members not yet linked.  Simplicial vertices lie
-    inside no geodesic, so any set of them is a gp set: while v and
-    every member are simplicial, v extends the optimum with no test, and
-    a star or a tree builds no row here."""
+    The links of the last optimum are brought up to date by
+    ``_Search.link_up`` only when a test needs them, so each member is
+    linked once per optimum.  Simplicial vertices lie inside no
+    geodesic, so any set of them is a gp set: while v and every member
+    are simplicial, v extends the optimum with no test, and a star or a
+    tree builds no row here."""
     n, cuts, full, simplicial = search.G.n, search.cuts, search.full, search.simplicial
     doll = [0] * (n + 1)
     best, held = [], 0  # the last optimum and its mask
-    linked, lmask, links = 0, 0, 0  # its first members, their mask, their links
+    linked, links = 0, 0  # the mask of its members linked so far, their links
     for v in range(n - 1, -1, -1):
         if cuts >> v & 1:
             doll[v] = doll[v + 1]
             continue
         new = (v,)  # the vertices that join the last optimum
         if not simplicial >> v & 1 or held & ~simplicial:
-            for u in best[linked:]:
-                links |= search.links(u, best[:linked], lmask)
-                linked += 1
-                lmask |= 1 << u
+            linked, links = search.link_up(best, linked, links)
             if links >> v & 1:
                 # v does not extend it: search for a set one larger holding
                 # v, which replaces it when found
@@ -543,7 +554,7 @@ def _gp_doll(search: _Search):
                     search, above & ~cuts, False, c, c + 1, new, doll
                 )
                 if new:
-                    best, held, linked, lmask, links = [], 0, 0, 0, 0
+                    best, held, linked, links = [], 0, 0, 0
         best.extend(new)
         held |= sum(1 << u for u in new)
         doll[v] = len(best)
@@ -564,21 +575,17 @@ def _gp_decisions(search: _Search, doll):
     ``_gp`` swaps c for that vertex.  The other cut vertices stay free
     (``loose``); the table does not cover them, so the run is bounded at
     lowest candidate p by ``doll[p]`` plus the loose cut vertices at or
-    above p, and by ``doll`` itself when there are none.  The conflict
-    links of the pins grow with the pins, as the list is only ever
-    extended.
+    above p, and by ``doll`` itself when there are none.  The pins list
+    is only ever extended, so ``_Search.link_up`` brings the OR of their
+    conflict links up to date at each call, linking each pin once.
     """
     parts, cuts, full = search.parts, search.cuts, search.full
     value = doll[0]
-    linked = [0, 0, 0]  # pins linked so far, their mask, their links
+    linked = [0, 0]  # the mask of the pins linked so far, their links
     ruled = {}  # rejected non-cut vertices -> cut vertices a swap frees
 
     def decide(v, pins, rejected):
-        count, held, forb = linked
-        for k in range(count, len(pins)):
-            forb |= search.links(pins[k], pins[:k], held)
-            held |= 1 << pins[k]
-        linked[:] = len(pins), held, forb
+        held, forb = linked[:] = search.link_up(pins, *linked)
         if forb >> v & 1:
             return 0
         forb |= search.links(v, pins, held)
@@ -658,6 +665,15 @@ def _membership(n: int) -> list:
     return member
 
 
+def _meets(member, b: int) -> int:
+    """The table of the subsets that hold a vertex of the mask ``b``,
+    with ``member = _membership(n)``."""
+    out = 0
+    for w in bits(b):
+        out |= member[w]
+    return out
+
+
 def _levels(n: int) -> list:
     """``L[k]`` for k <= n: the table of the subsets of size k.  Vertex
     m moves each subset X without it to X + m, 2**m bits up, one size up."""
@@ -703,25 +719,17 @@ def _pair_tables(bet, member, *rules) -> dict:
     every rule, so each interval becomes a table once.
     """
     full = (1 << (1 << len(bet))) - 1
-
-    def meets(b):
-        # the subsets that hold a vertex of b
-        out = 0
-        for w in bits(b):
-            out |= member[w]
-        return out
-
     bad = dict.fromkeys(rules, 0)
     if "total" in bad:
         # every pair counts, so X must avoid the union of all interiors
-        bad["total"] = meets(reduce(or_, chain.from_iterable(bet), 0))
+        bad["total"] = _meets(member, reduce(or_, chain.from_iterable(bet), 0))
     combines = [(rule, _PAIR_RULES[rule]) for rule in bad if rule != "total"]
     if combines:
         for u, row in enumerate(bet):
             in_u = member[u]
             for v in range(u + 1, len(bet)):
                 if row[v]:
-                    inside, in_v = meets(row[v]), member[v]
+                    inside, in_v = _meets(member, row[v]), member[v]
                     for rule, combine in combines:
                         bad[rule] |= inside & combine(in_u, in_v)
     for rule in bad:

@@ -49,6 +49,8 @@ def test_reader_accepts_comments_and_blank_lines(tmp_path):
         # int() reads the last endpoints as 10 and 2
         "11 10\n" + "".join(f"{i} {i + 1}\n" for i in range(9)) + "9 1_0\n",
         "3 2\n0 1\n1 \u0662\n",
+        "x 1\n0 1\n",
+        "3 2\n0 1\n0 1\n",  # duplicate edge
     ],
 )
 def test_reader_rejects_malformed_files(tmp_path, content):
@@ -56,6 +58,14 @@ def test_reader_rejects_malformed_files(tmp_path, content):
     path.write_bytes(content if isinstance(content, bytes) else content.encode())
     with pytest.raises(SpecError):
         read_graph(str(path))
+
+
+def test_compute_duplicate_edge_exits_2(tmp_path, capsys):
+    path = tmp_path / "dup.txt"
+    path.write_text("3 2\n0 1\n0 1\n")
+    code, _, err = run(capsys, "compute", "--invariant", "gp", "-i", str(path))
+    assert code == 2 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_gen_family_to_stdout(capsys):

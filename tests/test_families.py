@@ -236,6 +236,8 @@ def test_random_tree_properties():
         assert T.n == n and T.m == n - 1
         assert is_connected(T)
     assert random_tree(8, 3) == random_tree(8, 3)
+    with pytest.raises(SpecError):
+        random_tree(0, 1)
 
 
 def _quadratic_pruefer_tree(n, seed):

@@ -15,6 +15,8 @@ from genpos import (
     check_structural,
     check_sufficient,
     generate,
+    interval_masks,
+    is_convex,
     product,
     random_tree,
     run_suite,
@@ -205,6 +207,27 @@ def test_srg_product_identity_failure_replays(monkeypatch):
     assert ce["only_in_product_srg"] == sorted(set(P.edges()) - direct)
     assert ce["only_in_direct"] == sorted(direct - set(P.edges()))
     assert ce["only_in_product_srg"] and ce["only_in_direct"]
+
+
+def test_convex_boxes_failure_replays(monkeypatch):
+    # every nonempty set is called no box, so the first convex sample the
+    # law meets past the empty one disagrees
+    box_of_convex = genpos.laws._box_of_convex
+    monkeypatch.setattr(genpos.laws, "_box_of_convex", lambda bG, bH, nh, W: not W)
+    A, B = _family("path:3"), _family("complete:2")
+    (report,) = [
+        r
+        for r in check_products(A, B, "path:3 x complete:2")
+        if r.law == "cartesian-convex-boxes"
+    ]
+    assert not report.passed and report.actual == "disagreement"
+    ce = report.counterexample
+    P = product(A, B, "cartesian")
+    assert build_graph(ce["n"], [tuple(e) for e in ce["edges"]]) == P
+    W = VertexSet(P.n, ce["offending_set"])
+    assert W and is_convex(P, all_pairs_distances(P), W)
+    bet = [interval_masks(all_pairs_distances(G)) for G in (A, B)]
+    assert box_of_convex(*bet, B.n, W.mask)
 
 
 def test_product_laws_validate_factors():
