@@ -10,7 +10,6 @@ machine-checkable laws round out the package.
 """
 
 from .errors import (
-    DegeneratePairError,
     DisconnectedError,
     DuplicateEdgeError,
     EmptySetError,
@@ -34,9 +33,6 @@ from .families import (
 from .graphs import (
     Graph,
     VertexSet,
-    build_graph,
-    clique_number,
-    induced_subgraph,
     is_connected,
     maximum_clique,
 )
@@ -56,25 +52,22 @@ from .metric import (
     interval_masks,
     is_convex,
     is_p4_inner_isometric,
-    lies_between,
     simplicial_set,
 )
 from .position import (
     VARIANTS,
     Certificate,
     brute_force,
-    is_positionable,
     is_variant_set,
     solve,
     variant_feasibility,
 )
-from .srg import is_mmd, strong_resolving_graph
+from .srg import strong_resolving_graph
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Certificate",
-    "DegeneratePairError",
     "DisconnectedError",
     "DistMatrix",
     "DuplicateEdgeError",
@@ -94,25 +87,19 @@ __all__ = [
     "VertexSet",
     "all_pairs_distances",
     "brute_force",
-    "build_graph",
     "check_dual_not_hereditary",
     "check_families",
     "check_products",
     "check_structural",
     "check_sufficient",
-    "clique_number",
     "generate",
     "girth",
-    "induced_subgraph",
     "interval_masks",
     "is_connected",
     "is_convex",
-    "is_mmd",
     "is_p4_inner_isometric",
-    "is_positionable",
     "is_variant_set",
     "join",
-    "lies_between",
     "maximum_clique",
     "product",
     "random_connected",

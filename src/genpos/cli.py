@@ -27,7 +27,7 @@ from .errors import (
     SpecError,
 )
 from .families import FamilySpec, _decimal, generate, join, product
-from .graphs import Graph, build_graph
+from .graphs import Graph
 from .laws import run_suite
 from .position import VARIANTS, brute_force, solve
 from .srg import strong_resolving_graph
@@ -88,7 +88,7 @@ def read_graph(path: str) -> Graph:
             f"{path}: {m} edges cannot make {n} vertices connected"
         )
     try:
-        return build_graph(n, edges)
+        return Graph(n, edges)
     except (GenposError, IndexError) as exc:
         raise SpecError(f"{path}: {exc}") from exc
 
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--invariant", required=True, choices=VARIANTS + ("all",))
         cmd.add_argument("-i", "--input", required=True, metavar="FILE")
         if cmd is oracle:
-            cmd.add_argument("--max-n", type=int, default=18, dest="max_n")
+            cmd.add_argument("--max-n", type=_decimal, default=18, dest="max_n")
         cmd.add_argument("--json", action="store_true")
         cmd.add_argument("--quiet", action="store_true", help="value only")
 
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("structural", "sufficient", "products", "families", "all"),
     )
-    check.add_argument("--seed", type=int, default=0)
+    check.add_argument("--seed", type=_decimal, default=0)
     check.add_argument("--json", action="store_true")
     check.set_defaults(func=_cmd_check)
     return parser

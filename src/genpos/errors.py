@@ -21,10 +21,6 @@ class DisconnectedError(GenposError):
     """A connected graph was required."""
 
 
-class DegeneratePairError(GenposError):
-    """A vertex pair u, v with u == v where distinct vertices are required."""
-
-
 class NotAnEdgeError(GenposError):
     """The given vertex pair is not an edge of the graph."""
 

@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import GenerationError, SpecError
-from .graphs import Graph, build_graph, is_connected
+from .graphs import Graph, is_connected
 
 PRODUCT_KINDS = ("cartesian", "direct", "strong")
 
@@ -75,13 +75,13 @@ def generate(spec: FamilySpec):
 
 
 def _path(n: int):
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)]), {}
+    return Graph(n, [(i, i + 1) for i in range(n - 1)]), {}
 
 
 def _gm_join(m: int):
     path, _ = _path(m)
     labels = {"p1": 0, "pm": m - 1, "x": m, "x'": m + 1}
-    return join(path, build_graph(2, [])), labels
+    return join(path, Graph(2, [])), labels
 
 
 def _theta(*lengths):
@@ -111,7 +111,7 @@ def _theta(*lengths):
             prev = nxt
             nxt += 1
         edges.append((prev, b))
-    return build_graph(nxt, edges), {"a": a, "b": b}
+    return Graph(nxt, edges), {"a": a, "b": b}
 
 
 def _chain_cycles(k: int, length: int):
@@ -137,29 +137,29 @@ def _chain_cycles(k: int, length: int):
     pendant = nxt
     edges.append((attach, pendant))
     labels = {"u": pendant, "v": attach}
-    return build_graph(nxt + 1, edges), labels
+    return Graph(nxt + 1, edges), labels
 
 
 # family -> (least value of each parameter, builder of (Graph, label map));
 # theta takes any number of lengths, so its builder checks them itself
 _FAMILIES = {
     "path": ((1,), _path),
-    "cycle": ((3,), lambda n: (build_graph(n, [(i, (i + 1) % n) for i in range(n)]), {})),
+    "cycle": ((3,), lambda n: (Graph(n, [(i, (i + 1) % n) for i in range(n)]), {})),
     "complete": (
         (1,),
-        lambda n: (build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)]), {}),
+        lambda n: (Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)]), {}),
     ),
     "complete_bipartite": (
         (1, 1),
         lambda r, t: (
-            build_graph(r + t, [(u, w) for u in range(r) for w in range(r, r + t)]),
+            Graph(r + t, [(u, w) for u in range(r) for w in range(r, r + t)]),
             {},
         ),
     ),
-    "edgeless": ((1,), lambda n: (build_graph(n, []), {})),
+    "edgeless": ((1,), lambda n: (Graph(n, []), {})),
     "star": (
         (1,),
-        lambda k: (build_graph(k + 1, [(0, i) for i in range(1, k + 1)]), {"center": 0}),
+        lambda k: (Graph(k + 1, [(0, i) for i in range(1, k + 1)]), {"center": 0}),
     ),
     "theta": (None, _theta),
     "gm_join": ((1,), _gm_join),
@@ -193,7 +193,7 @@ def product(G: Graph, H: Graph, kind: str) -> Graph:
             for h, h2 in H.edges():
                 edges.append((g * nh + h, g2 * nh + h2))
                 edges.append((g * nh + h2, g2 * nh + h))
-    return build_graph(G.n * nh, edges)
+    return Graph(G.n * nh, edges)
 
 
 def join(G: Graph, H: Graph) -> Graph:
@@ -202,7 +202,7 @@ def join(G: Graph, H: Graph) -> Graph:
     edges = list(G.edges())
     edges += [(u + off, v + off) for u, v in H.edges()]
     edges += [(g, off + h) for g in range(G.n) for h in range(H.n)]
-    return build_graph(G.n + H.n, edges)
+    return Graph(G.n + H.n, edges)
 
 
 def random_connected(n: int, p: float, seed: int) -> Graph:
@@ -219,7 +219,7 @@ def random_connected(n: int, p: float, seed: int) -> Graph:
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for _ in range(_MAX_TRIES):
         edges = [e for e in pairs if rng.random() < p]
-        candidate = build_graph(n, edges)
+        candidate = Graph(n, edges)
         if is_connected(candidate):
             return candidate
     raise GenerationError(
@@ -232,9 +232,9 @@ def random_tree(n: int, seed: int) -> Graph:
     if n < 1:
         raise SpecError("random_tree needs n >= 1")
     if n == 1:
-        return build_graph(1, [])
+        return Graph(1, [])
     if n == 2:
-        return build_graph(2, [(0, 1)])
+        return Graph(2, [(0, 1)])
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
@@ -255,4 +255,4 @@ def random_tree(n: int, seed: int) -> Graph:
             leaf = ptr = degree.index(1, ptr + 1)
     # n - 1 is never the least leaf, so it is the other vertex left
     edges.append((leaf, n - 1))
-    return build_graph(n, edges)
+    return Graph(n, edges)

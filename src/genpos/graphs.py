@@ -22,9 +22,13 @@ def bits(mask: int):
 
 
 class Graph:
-    """Simple undirected graph with sorted adjacency lists.
+    """Simple undirected graph on vertices 0..n-1 with sorted adjacency
+    lists, validated as it is built.
 
-    No loops, no duplicate edges, adjacency symmetric by construction.
+    Raises IndexError for out-of-range endpoints, LoopError for loops,
+    DuplicateEdgeError when an unordered edge repeats (in either
+    orientation), ValueError for n < 0.  n = 0 is accepted here; higher
+    layers reject it.
     """
 
     __slots__ = ("n", "m", "adj", "neighbor_masks")
@@ -85,16 +89,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def build_graph(n: int, edges=()) -> Graph:
-    """Validate and build a simple graph on vertices 0..n-1.
-
-    Raises IndexError for out-of-range endpoints, LoopError for loops,
-    DuplicateEdgeError when an unordered edge repeats (in either
-    orientation).  n = 0 is accepted here; higher layers reject it.
-    """
-    return Graph(n, edges)
-
-
 class VertexSet:
     """Subset of the vertices of a graph of known order, bitmask backed."""
 
@@ -142,24 +136,6 @@ class VertexSet:
 
     def __repr__(self):
         return f"VertexSet(n={self.n}, members={tuple(self)})"
-
-
-def induced_subgraph(G: Graph, W: VertexSet):
-    """Induced subgraph on W plus the relabeling map old -> new.
-
-    W must be nonempty; vertices are relabeled 0..|W|-1 in ascending order.
-    """
-    if len(W) == 0:
-        raise EmptySetError("induced subgraph needs a nonempty vertex set")
-    old = list(W)
-    relabel = {v: i for i, v in enumerate(old)}
-    edges = [
-        (relabel[u], relabel[v])
-        for u in old
-        for v in G.adj[u]
-        if v > u and v in W
-    ]
-    return Graph(len(old), edges), relabel
 
 
 def is_connected(G: Graph) -> bool:
@@ -397,7 +373,3 @@ def _clique_search(nbr, P: int, floor: int, ceiling: int):
         else:
             return best, found
 
-
-def clique_number(G: Graph) -> int:
-    """Exact clique number; 0 for the empty graph, 1 for edgeless graphs."""
-    return maximum_clique(G)[0]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .errors import DegeneratePairError, NotAnEdgeError
+from .errors import NotAnEdgeError
 from .graphs import Graph, VertexSet, _require_connected
 
 
@@ -78,13 +78,6 @@ def girth(G: Graph, D: DistMatrix):
             if below > 1:
                 best = 2 * dx
     return best
-
-
-def lies_between(D: DistMatrix, u: int, w: int, v: int) -> bool:
-    """True iff w sits on some shortest u,v-path: d(u,w) + d(w,v) = d(u,v)."""
-    if u == v:
-        raise DegeneratePairError(f"betweenness needs distinct endpoints, got {u}")
-    return D.d[u][w] + D.d[w][v] == D.d[u][v]
 
 
 def interval_masks(D: DistMatrix):

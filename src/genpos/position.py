@@ -27,7 +27,7 @@ from functools import reduce
 from itertools import chain
 from operator import or_
 
-from .errors import DegeneratePairError, SizeError
+from .errors import SizeError
 from .graphs import (
     Graph,
     VertexSet,
@@ -64,24 +64,6 @@ class Certificate:
         _check_variant(self.variant)
         if len(self.witness) != self.value:
             raise ValueError("witness cardinality must equal the value")
-
-
-def is_positionable(D: DistMatrix, X: VertexSet, u: int, v: int) -> bool:
-    """True iff no member of X besides u, v lies strictly between u and v.
-
-    Adjacent pairs are always positionable because their unique shortest
-    path has no internal vertex.
-    """
-    if u == v:
-        raise DegeneratePairError(
-            f"positionability needs distinct endpoints, got {u} twice"
-        )
-    d = D.d
-    duv = d[u][v]
-    for x in X:
-        if x != u and x != v and d[u][x] + d[x][v] == duv:
-            return False
-    return True
 
 
 def is_variant_set(G: Graph, D: DistMatrix, X: VertexSet, variant: str) -> bool:

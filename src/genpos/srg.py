@@ -2,29 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import DegeneratePairError
 from .graphs import Graph, _require_connected, bits
-from .metric import DistMatrix
-
-
-def is_mmd(G: Graph, D: DistMatrix, u: int, v: int) -> bool:
-    """True iff u and v are mutually maximally distant.
-
-    u is maximally distant from v when no neighbor of u is farther from v
-    than u itself; the relation must hold in both directions.
-    """
-    if u == v:
-        raise DegeneratePairError("mutual maximal distance needs distinct vertices")
-    duv = D.d[u][v]
-    dv = D.d[v]
-    for w in G.adj[u]:
-        if dv[w] > duv:
-            return False
-    du = D.d[u]
-    for w in G.adj[v]:
-        if du[w] > duv:
-            return False
-    return True
 
 
 def _maximally_distant_columns(G: Graph) -> list:

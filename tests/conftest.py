@@ -2,7 +2,7 @@ import pytest
 
 from genpos import (
     FamilySpec,
-    build_graph,
+    Graph,
     generate,
     product,
     random_connected,
@@ -15,7 +15,7 @@ def petersen():
     outer = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
     spokes = [(0, 5), (1, 6), (2, 7), (3, 8), (4, 9)]
     inner = [(5, 7), (7, 9), (6, 9), (6, 8), (5, 8)]
-    return build_graph(10, outer + spokes + inner)
+    return Graph(10, outer + spokes + inner)
 
 
 @pytest.fixture(scope="session")

@@ -18,11 +18,11 @@ from genpos import (
     all_pairs_distances,
     brute_force,
     check_dual_not_hereditary,
-    clique_number,
     generate,
     interval_masks,
     is_convex,
     is_variant_set,
+    maximum_clique,
     product,
     random_tree,
     simplicial_set,
@@ -90,7 +90,7 @@ def test_criterion_03_outer_characterization(corpus):
     start = time.perf_counter()
     for G in corpus:
         cert = solve(G, "outer")
-        assert cert.value == clique_number(strong_resolving_graph(G))
+        assert cert.value == maximum_clique(strong_resolving_graph(G))[0]
         assert cert.value == brute_force(G, "outer").value
         assert solve(G, "gp").value >= cert.value >= 2
     _report(3, time.perf_counter() - start, 30.0,

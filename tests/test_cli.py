@@ -196,6 +196,28 @@ def test_oracle_size_cap_exits_4(tmp_path, capsys):
     assert code == 4 and "capped" in err
 
 
+@pytest.mark.parametrize("option", ["--seed", "--max-n"])
+@pytest.mark.parametrize("spelling", ["1_0", "+3", "٣"])
+def test_integer_options_are_ascii_decimal(tmp_path, capsys, option, spelling):
+    # int() reads these as 10, 3 and 3; graph files and family specs reject them
+    c5 = tmp_path / "c5.txt"
+    run(capsys, "gen", "--family", "cycle:5", "-o", str(c5))
+    command = {
+        "--seed": ["check", "--suite", "sufficient"],
+        "--max-n": ["oracle", "--invariant", "gp", "-i", str(c5)],
+    }[option]
+    code, out, err = run(capsys, *command, option, spelling)
+    assert code == 2 and out == ""
+    assert f"error: argument {option}: invalid" in err
+    assert "Traceback" not in err
+
+
+def test_negative_seed_still_runs(capsys):
+    # the one integer parser keeps a leading '-', as for a file's counts
+    code, out, _ = run(capsys, "check", "--suite", "sufficient", "--seed", "-1")
+    assert code == 0 and out.splitlines()[-1] == "58 checks, 0 failures"
+
+
 @pytest.mark.parametrize(
     "invariant, method",
     [("outer", "clique"), ("gp", "branch_and_bound"), ("dual", "branch_and_bound")],

@@ -6,7 +6,7 @@ import pytest
 from genpos import (
     FAMILIES,
     FamilySpec,
-    build_graph,
+    Graph,
     generate,
     is_connected,
     join,
@@ -183,7 +183,7 @@ def test_product_rejects_bad_kind_and_empty_factor():
     with pytest.raises(SpecError):
         product(K2, K2, "tensorish")
     with pytest.raises(SpecError):
-        product(K2, build_graph(0, []), "cartesian")
+        product(K2, Graph(0, []), "cartesian")
 
 
 def test_join_wheel_counts():
@@ -243,7 +243,7 @@ def test_random_tree_properties():
 def _quadratic_pruefer_tree(n, seed):
     # the textbook decode: rescan for the least leaf on every step
     if n <= 2:
-        return build_graph(n, [(0, 1)] if n == 2 else [])
+        return Graph(n, [(0, 1)] if n == 2 else [])
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
@@ -256,7 +256,7 @@ def _quadratic_pruefer_tree(n, seed):
         degree[leaf] -= 1
         degree[v] -= 1
     edges.append(tuple(u for u in range(n) if degree[u] == 1))
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 def test_random_tree_matches_the_quadratic_pruefer_decode():

@@ -9,19 +9,16 @@ from hypothesis import strategies as st
 from genpos import (
     Graph,
     VertexSet,
-    build_graph,
-    clique_number,
-    induced_subgraph,
     is_connected,
     maximum_clique,
     random_tree,
 )
-from genpos.errors import DuplicateEdgeError, EmptySetError, LoopError
+from genpos.errors import DuplicateEdgeError, LoopError
 from genpos.graphs import _is_clique, bits, cut_components
 
 
 def test_construction_and_adjacency():
-    G = build_graph(4, [(2, 3), (0, 1), (1, 2)])
+    G = Graph(4, [(2, 3), (0, 1), (1, 2)])
     assert G.n == 4 and G.m == 3
     assert G.adj[1] == (0, 2)
     assert G.has_edge(3, 2) and not G.has_edge(0, 3)
@@ -31,29 +28,29 @@ def test_construction_and_adjacency():
 
 def test_loops_rejected():
     with pytest.raises(LoopError):
-        build_graph(3, [(1, 1)])
+        Graph(3, [(1, 1)])
 
 
 @pytest.mark.parametrize("edges", [[(0, 1), (0, 1)], [(0, 1), (1, 0)]])
 def test_duplicate_edges_rejected(edges):
     with pytest.raises(DuplicateEdgeError):
-        build_graph(2, edges)
+        Graph(2, edges)
 
 
 def test_out_of_range_endpoint_rejected():
     with pytest.raises(IndexError):
-        build_graph(3, [(0, 3)])
+        Graph(3, [(0, 3)])
     with pytest.raises(IndexError):
-        build_graph(3, [(-1, 2)])
+        Graph(3, [(-1, 2)])
     with pytest.raises(ValueError):
         Graph(-1)
 
 
 def test_graph_equality_and_hash():
-    G = build_graph(3, [(0, 1), (1, 2)])
-    H = build_graph(3, [(1, 2), (0, 1)])
+    G = Graph(3, [(0, 1), (1, 2)])
+    H = Graph(3, [(1, 2), (0, 1)])
     assert G == H and hash(G) == hash(H)
-    assert G != build_graph(3, [(0, 1)])
+    assert G != Graph(3, [(0, 1)])
 
 
 def test_vertex_set_behaviour():
@@ -69,31 +66,11 @@ def test_vertex_set_behaviour():
             VertexSet.from_mask(3, mask)
 
 
-def test_induced_subgraph_relabels_in_order():
-    G = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    H, relabel = induced_subgraph(G, VertexSet(5, [1, 2, 4]))
-    assert H.n == 3
-    assert relabel == {1: 0, 2: 1, 4: 2}
-    assert list(H.edges()) == [(0, 1)]  # only 1-2 survives
-
-
-def test_induced_subgraph_of_clique_is_clique():
-    K4 = build_graph(4, list(itertools.combinations(range(4), 2)))
-    H, _ = induced_subgraph(K4, VertexSet(4, [1, 3]))
-    assert list(H.edges()) == [(0, 1)]
-
-
-def test_induced_subgraph_rejects_empty():
-    G = build_graph(2, [(0, 1)])
-    with pytest.raises(EmptySetError):
-        induced_subgraph(G, VertexSet(2, []))
-
-
 def test_connectivity():
-    assert is_connected(build_graph(1, []))
-    assert is_connected(build_graph(3, [(0, 1), (1, 2)]))
-    assert not is_connected(build_graph(3, [(0, 1)]))
-    assert not is_connected(build_graph(4, [(0, 1), (2, 3)]))
+    assert is_connected(Graph(1, []))
+    assert is_connected(Graph(3, [(0, 1), (1, 2)]))
+    assert not is_connected(Graph(3, [(0, 1)]))
+    assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
 
 
 @pytest.mark.parametrize(
@@ -107,16 +84,16 @@ def test_connectivity():
     ],
 )
 def test_clique_number_examples(n, edges, omega):
-    assert clique_number(build_graph(n, edges)) == omega
+    assert maximum_clique(Graph(n, edges))[0] == omega
 
 
 def test_petersen_is_triangle_free(petersen):
-    assert clique_number(petersen) == 2
+    assert maximum_clique(petersen)[0] == 2
 
 
 def test_maximum_clique_witness_is_lex_least():
     # two maximum triangles; {0,1,5} beats {2,3,4} lexicographically
-    G = build_graph(6, [(0, 1), (0, 5), (1, 5), (2, 3), (2, 4), (3, 4)])
+    G = Graph(6, [(0, 1), (0, 5), (1, 5), (2, 3), (2, 4), (3, 4)])
     size, witness = maximum_clique(G)
     assert size == 3
     assert witness == (0, 1, 5)
@@ -127,13 +104,13 @@ def test_clique_number_against_subset_enumeration():
     for trial in range(40):
         n = rng.randrange(2, 10)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
-        G = build_graph(n, edges)
+        G = Graph(n, edges)
         best = 1
         for size in range(2, n + 1):
             for sub in itertools.combinations(range(n), size):
                 if all(G.has_edge(u, v) for u, v in itertools.combinations(sub, 2)):
                     best = max(best, size)
-        assert clique_number(G) == best, (n, edges)
+        assert maximum_clique(G)[0] == best, (n, edges)
 
 
 def _pairwise_adjacent(G, vertices):
@@ -159,7 +136,7 @@ def _first_maximum_clique(G):
 def test_is_clique_against_pairwise_adjacency(n, density, seed, drawn):
     rng = random.Random(seed)
     pairs = itertools.combinations(range(n), 2)
-    G = build_graph(n, [e for e in pairs if rng.random() < density])
+    G = Graph(n, [e for e in pairs if rng.random() < density])
     # the empty mask, every singleton, a drawn mask, and a maximum clique
     # with and without one more vertex, so both answers occur
     top = sum(1 << v for v in _first_maximum_clique(G)[1])
@@ -179,7 +156,7 @@ def test_is_clique_against_pairwise_adjacency(n, density, seed, drawn):
 def test_maximum_clique_against_subset_enumeration(n, density, seed):
     rng = random.Random(seed)
     pairs = itertools.combinations(range(n), 2)
-    G = build_graph(n, [e for e in pairs if rng.random() < density])
+    G = Graph(n, [e for e in pairs if rng.random() < density])
     assert maximum_clique(G) == _first_maximum_clique(G)
 
 
@@ -196,30 +173,30 @@ def test_maximum_clique_with_isolated_vertices_against_subset_enumeration(
     rng = random.Random(seed)
     isolated = set(rng.sample(range(n), rng.randrange(1, n + 1)))
     pairs = itertools.combinations(sorted(set(range(n)) - isolated), 2)
-    G = build_graph(n, [e for e in pairs if rng.random() < density])
+    G = Graph(n, [e for e in pairs if rng.random() < density])
     assert maximum_clique(G) == _first_maximum_clique(G)
 
 
 def _complete_on(n, members):
-    return build_graph(n, list(itertools.combinations(members, 2)))
+    return Graph(n, list(itertools.combinations(members, 2)))
 
 
 @pytest.mark.parametrize(
     "G,expected",
     [
-        (build_graph(0), (0, ())),
-        (build_graph(5), (1, (0,))),
-        (build_graph(1), (1, (0,))),
-        (build_graph(3), (1, (0,))),
+        (Graph(0), (0, ())),
+        (Graph(5), (1, (0,))),
+        (Graph(1), (1, (0,))),
+        (Graph(3), (1, (0,))),
         # vertex 0 is isolated, so the search runs on 1 and 2 only
-        (build_graph(3, [(1, 2)]), (2, (1, 2))),
+        (Graph(3, [(1, 2)]), (2, (1, 2))),
         # the whole graph is one colour per vertex, taken without a search
         (_complete_on(5, range(5)), (5, (0, 1, 2, 3, 4))),
         # the clique is found whole below the root
         (_complete_on(8, range(2, 7)), (5, (2, 3, 4, 5, 6))),
         # C5 joined to K2: clique number 4, but greedy colouring needs 5
         (
-            build_graph(
+            Graph(
                 7,
                 [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (5, 6)]
                 + [(c, k) for c in range(5) for k in (5, 6)],
@@ -274,15 +251,8 @@ def test_cut_vertices_against_deletion(n, extra, seed):
     rng = random.Random(seed)
     edges = set(random_tree(n, seed).edges())
     edges |= {e for e in itertools.combinations(range(n), 2) if rng.random() < extra}
-    G = build_graph(n, sorted(edges))
-    expected = {
-        v
-        for v in range(n)
-        if n > 1
-        and not is_connected(
-            induced_subgraph(G, VertexSet(n, [w for w in range(n) if w != v]))[0]
-        )
-    }
+    G = Graph(n, sorted(edges))
+    expected = {v for v in range(n) if len(_components_without(G, v)) > 1}
     parts = cut_components(G)
     assert set(parts) == expected
     for c, comps in parts.items():
@@ -302,7 +272,7 @@ def default_recursion_limit():
 
 def test_cut_vertices_of_a_long_path(default_recursion_limit):
     n = 3000
-    parts = cut_components(build_graph(n, [(v, v + 1) for v in range(n - 1)]))
+    parts = cut_components(Graph(n, [(v, v + 1) for v in range(n - 1)]))
     assert set(parts) == set(range(1, n - 1))
     for c, comps in parts.items():
         assert set(comps) == {(1 << c) - 1, ((1 << n) - 1) & ~((2 << c) - 1)}
@@ -310,6 +280,6 @@ def test_cut_vertices_of_a_long_path(default_recursion_limit):
 
 def test_cut_vertices_of_a_large_star(default_recursion_limit):
     n = 1200
-    parts = cut_components(build_graph(n + 1, [(0, v) for v in range(1, n + 1)]))
+    parts = cut_components(Graph(n + 1, [(0, v) for v in range(1, n + 1)]))
     assert list(parts) == [0]
     assert sorted(parts[0]) == [1 << v for v in range(1, n + 1)]

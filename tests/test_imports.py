@@ -7,16 +7,20 @@ process has loaded for itself do not count.
 
 import json
 import os
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import genpos
 from genpos import FamilySpec, generate
 from genpos.cli import main, write_graph
 
-_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_ROOT = Path(__file__).resolve().parents[1]
+_SRC = str(_ROOT / "src")
 
 # imports genpos, then runs genpos.cli.main on argv, and reports the
 # modules that bare `import genpos` bound, the exit code, the output and
@@ -110,3 +114,19 @@ def test_table_commands_run_without_numpy_and_print_the_same(argv, c5, capsys):
         code,
         _masked(capsys.readouterr().out),
     )
+
+
+def test_readme_examples_run_and_all_names_the_public_surface():
+    # every python block of README.md runs as written
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    # __all__ is exactly what genpos binds, less its submodules
+    public = {
+        name
+        for name, value in vars(genpos).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(genpos.__all__) == sorted(public)

@@ -7,9 +7,9 @@ import pytest
 import genpos.laws
 from genpos import (
     FamilySpec,
+    Graph,
     VertexSet,
     all_pairs_distances,
-    build_graph,
     check_families,
     check_products,
     check_structural,
@@ -88,7 +88,7 @@ def test_sufficient_laws_on_named_instances():
     assert by_law["all-edges-p4-inner-dual-zero"][0].passed
     assert "dual=0" in by_law["all-edges-p4-inner-dual-zero"][0].actual
     # a tree has infinite girth and leaves, so dual > 0 and min degree 1
-    tree = build_graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
+    tree = Graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
     reports = check_sufficient(tree, "tree")
     by_law = _by_law(reports)
     assert by_law["girth6-dual-zero-iff-mindeg2"][0].passed
@@ -202,7 +202,7 @@ def test_srg_product_identity_failure_replays(monkeypatch):
     assert not report.passed and report.actual == "edge sets differ"
     ce = report.counterexample
     P = product(A, B, "cartesian")
-    assert build_graph(ce["n"], [tuple(e) for e in ce["edges"]]) == P
+    assert Graph(ce["n"], [tuple(e) for e in ce["edges"]]) == P
     direct = set(product(A, B, "direct").edges())
     assert ce["only_in_product_srg"] == sorted(set(P.edges()) - direct)
     assert ce["only_in_direct"] == sorted(direct - set(P.edges()))
@@ -223,20 +223,49 @@ def test_convex_boxes_failure_replays(monkeypatch):
     assert not report.passed and report.actual == "disagreement"
     ce = report.counterexample
     P = product(A, B, "cartesian")
-    assert build_graph(ce["n"], [tuple(e) for e in ce["edges"]]) == P
+    assert Graph(ce["n"], [tuple(e) for e in ce["edges"]]) == P
     W = VertexSet(P.n, ce["offending_set"])
     assert W and is_convex(P, all_pairs_distances(P), W)
     bet = [interval_masks(all_pairs_distances(G)) for G in (A, B)]
     assert box_of_convex(*bet, B.n, W.mask)
 
 
+def test_convex_boxes_law_samples_every_box(monkeypatch):
+    # a wrong sample is still a valid subset for the law, so only the
+    # recorded samples show that every box of convex factor sets is tried
+    seen = set()
+    box_of_convex = genpos.laws._box_of_convex
+
+    def record(betG, betH, nh, W):
+        seen.add(W)
+        return box_of_convex(betG, betH, nh, W)
+
+    monkeypatch.setattr(genpos.laws, "_box_of_convex", record)
+    A = B = _family("path:3")
+    assert all(r.passed for r in check_products(A, B, "path:3 x path:3"))
+    D = all_pairs_distances(A)
+    convex = [
+        list(W)
+        for W in (VertexSet.from_mask(A.n, mask) for mask in range(1 << A.n))
+        if is_convex(A, D, W)
+    ]
+    # vertex (g, h) of the product is g * n(B) + h
+    boxes = {
+        VertexSet(A.n * B.n, [g * B.n + h for g in a for h in b]).mask
+        for a in convex
+        for b in convex
+    }
+    assert len(boxes) == 37
+    assert boxes <= seen
+
+
 def test_product_laws_validate_factors():
-    K1 = build_graph(1, [])
+    K1 = Graph(1, [])
     K2 = _family("complete:2")
     with pytest.raises(SpecError):
         check_products(K1, K2)
     with pytest.raises(DisconnectedError):
-        check_products(build_graph(2, []), K2)
+        check_products(Graph(2, []), K2)
     with pytest.raises(SizeError):
         check_products(_family("cycle:7"), _family("cycle:7"))
 
@@ -355,7 +384,7 @@ def _instance_graph(instance):
 def test_same_family_names_the_lowest_differing_mask_where_allowed():
     # tables over the 8 subsets of 3 vertices: they differ at the masks
     # 0b011, 0b101 and 0b110, and ``where`` leaves out 0b011
-    G = build_graph(3, [(0, 1), (1, 2)])
+    G = Graph(3, [(0, 1), (1, 2)])
     lhs = 1 << 0b011 | 1 << 0b101 | 1 << 0b110 | 1 << 0b111
     rhs = 1 << 0b111
     where = 0xFF & ~(1 << 0b011)
@@ -398,7 +427,7 @@ def test_pair_laws_fail_with_a_replayable_pair(
     assert not report.passed and report.actual == "families differ"
     ce = report.counterexample
     assert ce["offending_set"] == offending
-    assert build_graph(ce["n"], [tuple(e) for e in ce["edges"]]) == G
+    assert Graph(ce["n"], [tuple(e) for e in ce["edges"]]) == G
 
 
 def test_family_laws_fail_on_wrong_values(monkeypatch):
@@ -415,5 +444,5 @@ def test_family_laws_fail_on_wrong_values(monkeypatch):
     assert not any(r.passed for r in value_reports)
     for r in value_reports:
         ce = r.counterexample
-        rebuilt = build_graph(ce["n"], [tuple(e) for e in ce["edges"]])
+        rebuilt = Graph(ce["n"], [tuple(e) for e in ce["edges"]])
         assert rebuilt == _instance_graph(r.instance), r.instance

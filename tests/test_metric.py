@@ -8,21 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genpos import (
+    Graph,
     VertexSet,
     all_pairs_distances,
-    build_graph,
     generate,
     FamilySpec,
     girth,
     interval_masks,
     is_convex,
     is_p4_inner_isometric,
-    lies_between,
     random_connected,
     simplicial_set,
 )
 from genpos.errors import (
-    DegeneratePairError,
     DisconnectedError,
     EmptySetError,
     NotAnEdgeError,
@@ -53,15 +51,15 @@ def test_cycle_distances_wrap():
 
 
 def test_single_vertex():
-    D = all_pairs_distances(build_graph(1, []))
+    D = all_pairs_distances(Graph(1, []))
     assert D.d == ((0,),) and D.diameter == 0
 
 
 def test_distances_reject_bad_input():
     with pytest.raises(EmptySetError):
-        all_pairs_distances(build_graph(0, []))
+        all_pairs_distances(Graph(0, []))
     with pytest.raises(DisconnectedError):
-        all_pairs_distances(build_graph(4, [(0, 1), (2, 3)]))
+        all_pairs_distances(Graph(4, [(0, 1), (2, 3)]))
 
 
 @pytest.mark.parametrize(
@@ -93,13 +91,9 @@ def test_girth_rejects_mismatched_matrix():
         girth(G, D)
 
 
-def test_lies_between_on_path():
-    D = all_pairs_distances(_family("path:5"))
-    assert lies_between(D, 0, 2, 4)
-    assert lies_between(D, 0, 0, 4)  # endpoints sit on the path
-    assert not lies_between(D, 0, 4, 2)
-    with pytest.raises(DegeneratePairError):
-        lies_between(D, 3, 1, 3)
+def _lies_between(D, u, w, v):
+    # the reference: w sits on some shortest u,v-path
+    return D.d[u][w] + D.d[w][v] == D.d[u][v]
 
 
 _METRIC_SPECS = (
@@ -130,7 +124,7 @@ def test_interval_masks_match_strict_betweenness(spec, spec_graph):
                 continue
             assert bet[u][v] == bet[v][u]
             for w in range(n):
-                expect = w not in (u, v) and lies_between(D, u, w, v)
+                expect = w not in (u, v) and _lies_between(D, u, w, v)
                 assert bool(bet[u][v] >> w & 1) == expect
 
 
@@ -146,7 +140,7 @@ def test_shadow_rows_match_strict_betweenness(spec, spec_graph):
             if b == a:
                 continue
             for w in range(n):
-                expect = w not in (a, b) and lies_between(D, a, b, w)
+                expect = w not in (a, b) and _lies_between(D, a, b, w)
                 assert bool(row[b] >> w & 1) == expect
 
 

@@ -11,13 +11,12 @@ from genpos import (
     VARIANTS,
     Certificate,
     FamilySpec,
+    Graph,
     VertexSet,
     all_pairs_distances,
     brute_force,
-    build_graph,
     generate,
     is_convex,
-    is_positionable,
     is_variant_set,
     position,
     random_connected,
@@ -27,7 +26,6 @@ from genpos import (
     variant_feasibility,
 )
 from genpos.errors import (
-    DegeneratePairError,
     DisconnectedError,
     EmptySetError,
     SizeError,
@@ -52,14 +50,23 @@ def _family(text):
 # ----------------------------------------------------------- basic predicates
 
 
+def _is_positionable(D, X, u, v):
+    # the pair-by-pair reference: no member of X besides u, v lies on a
+    # shortest u,v-path; adjacent pairs have nothing between them
+    d = D.d
+    duv = d[u][v]
+    for x in X:
+        if x != u and x != v and d[u][x] + d[x][v] == duv:
+            return False
+    return True
+
+
 def test_positionable_pairs_on_path():
     D = all_pairs_distances(_family("path:5"))
     X = VertexSet(5, [2])
-    assert not is_positionable(D, X, 0, 4)  # 2 blocks the long pair
-    assert is_positionable(D, X, 0, 1)
-    assert is_positionable(D, X, 2, 4)  # members never block their own pairs
-    with pytest.raises(DegeneratePairError):
-        is_positionable(D, X, 3, 3)
+    assert not _is_positionable(D, X, 0, 4)  # 2 blocks the long pair
+    assert _is_positionable(D, X, 0, 1)
+    assert _is_positionable(D, X, 2, 4)  # members never block their own pairs
 
 
 def test_variant_set_examples_on_path():
@@ -118,7 +125,7 @@ def test_variant_names_validated():
 
 
 def test_single_vertex_graph():
-    K1 = build_graph(1, [])
+    K1 = Graph(1, [])
     for variant in VARIANTS:
         cert = solve(K1, variant)
         assert cert.value == 1 and tuple(cert.witness) == (0,)
@@ -128,13 +135,13 @@ def test_single_vertex_graph():
 
 def test_solvers_reject_degenerate_inputs():
     with pytest.raises(EmptySetError):
-        solve(build_graph(0, []), "gp")
+        solve(Graph(0, []), "gp")
     with pytest.raises(DisconnectedError):
-        solve(build_graph(4, [(0, 1), (2, 3)]), "gp")
+        solve(Graph(4, [(0, 1), (2, 3)]), "gp")
     with pytest.raises(EmptySetError):
-        brute_force(build_graph(0, []), "total")
+        brute_force(Graph(0, []), "total")
     with pytest.raises(DisconnectedError):
-        brute_force(build_graph(4, [(0, 1), (2, 3)]), "dual")
+        brute_force(Graph(4, [(0, 1), (2, 3)]), "dual")
 
 
 def test_brute_force_size_cap():
@@ -323,7 +330,7 @@ def _named_pairs_positionable(D, X, variant):
     for u, v in itertools.combinations(range(D.n), 2):
         a, b = x >> u & 1, x >> v & 1
         named = {"gp": a & b, "total": 1, "outer": a | b, "dual": a == b}[variant]
-        if named and not is_positionable(D, X, u, v):
+        if named and not _is_positionable(D, X, u, v):
             return False
     return True
 
@@ -450,7 +457,7 @@ def _glued(a, b, seed, tree_a, tree_b, data):
         return ga if w == gb else a + w - (w > gb)
 
     edges = list(A.edges()) + [(lift(u), lift(v)) for u, v in B.edges()]
-    return build_graph(n, [(label[u], label[v]) for u, v in edges])
+    return Graph(n, [(label[u], label[v]) for u, v in edges])
 
 
 _GLUED = dict(
@@ -490,7 +497,7 @@ def _tree_with_chords(n, seed, data):
         label="chords",
     )
     label = data.draw(st.permutations(range(n)), label="labelling")
-    return build_graph(n, [(label[u], label[v]) for u, v in [*tree, *chords]])
+    return Graph(n, [(label[u], label[v]) for u, v in [*tree, *chords]])
 
 
 @settings(max_examples=100, deadline=None)
@@ -515,20 +522,23 @@ def test_solver_oracle_agreement_on_trees_with_chords(n, seed, data):
     seed=st.integers(min_value=0, max_value=10**6),
     data=st.data(),
 )
-def test_gp_and_dual_past_the_oracle_under_relabelling(n, seed, data):
+def test_every_variant_past_the_oracle_under_relabelling(n, seed, data):
     # past the oracle's range: a relabelling keeps each value, each
-    # witness is a set of its variant, and total <= dual <= gp
+    # witness is a set of its variant on its own graph, and both chains
+    # total <= outer <= gp and total <= dual <= gp hold
     G = _tree_with_chords(n, seed, data)
     label = data.draw(st.permutations(range(n)), label="relabelling")
-    H = build_graph(n, [(label[u], label[v]) for u, v in G.edges()])
-    total = solve(G, "total").value
-    values = []
-    for variant in ("dual", "gp"):
-        cert = solve(G, variant)
-        assert solve(H, variant).value == cert.value, variant
-        assert is_variant_set(G, all_pairs_distances(G), cert.witness, variant)
-        values.append(cert.value)
-    assert total <= values[0] <= values[1]
+    H = Graph(n, [(label[u], label[v]) for u, v in G.edges()])
+    DG, DH = all_pairs_distances(G), all_pairs_distances(H)
+    value = {}
+    for variant in VARIANTS:
+        cert, moved = solve(G, variant), solve(H, variant)
+        assert moved.value == cert.value, variant
+        assert is_variant_set(G, DG, cert.witness, variant), variant
+        assert is_variant_set(H, DH, moved.witness, variant), variant
+        value[variant] = cert.value
+    assert value["total"] <= value["outer"] <= value["gp"]
+    assert value["total"] <= value["dual"] <= value["gp"]
 
 
 def _doll_against_the_oracle(G):
