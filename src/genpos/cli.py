@@ -26,7 +26,7 @@ from .errors import (
     SizeError,
     SpecError,
 )
-from .families import FamilySpec, _decimal, generate, join, product
+from .families import PRODUCT_KINDS, FamilySpec, generate, integer, join, product
 from .graphs import Graph
 from .laws import run_suite
 from .position import VARIANTS, brute_force, solve
@@ -45,7 +45,7 @@ _ALL_ORDER = ("gp", "outer", "total", "dual")
 def _two_integers(path: str, what: str, line: str) -> tuple:
     try:
         # a count other than two fails to unpack, which is a ValueError too
-        first, second = map(_decimal, line.split())
+        first, second = map(integer, line.split())
     except ValueError as exc:
         raise SpecError(f"{path}: {what} must be two integers, got {line!r}") from exc
     return first, second
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     kind.add_argument("--family", metavar="SPEC", help="family spec, e.g. theta:2,3,3")
     kind.add_argument(
         "--product",
-        choices=("cartesian", "direct", "strong"),
+        choices=PRODUCT_KINDS,
         help="product of the -a and -b graphs",
     )
     kind.add_argument(
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--invariant", required=True, choices=VARIANTS + ("all",))
         cmd.add_argument("-i", "--input", required=True, metavar="FILE")
         if cmd is oracle:
-            cmd.add_argument("--max-n", type=_decimal, default=18, dest="max_n")
+            cmd.add_argument("--max-n", type=integer, default=18, dest="max_n")
         cmd.add_argument("--json", action="store_true")
         cmd.add_argument("--quiet", action="store_true", help="value only")
 
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("structural", "sufficient", "products", "families", "all"),
     )
-    check.add_argument("--seed", type=_decimal, default=0)
+    check.add_argument("--seed", type=integer, default=0)
     check.add_argument("--json", action="store_true")
     check.set_defaults(func=_cmd_check)
     return parser

@@ -17,11 +17,12 @@ PRODUCT_KINDS = ("cartesian", "direct", "strong")
 _MAX_TRIES = 200  # draws random_connected makes before it gives up
 
 
-def _decimal(token: str) -> int:
+def integer(token: str) -> int:
     """An ASCII decimal integer with an optional leading '-', between
     optional spaces.  ``int`` alone also takes underscores, a '+' and other
     scripts' digits; this raises ValueError for them, and for a token with
-    no digit."""
+    no digit.  As an argparse type it reads "invalid integer value" in a
+    usage error, since argparse names the function."""
     digits = token.strip().removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not a decimal integer: {token!r}")
@@ -44,7 +45,7 @@ class FamilySpec:
         if name not in FAMILIES:
             raise SpecError(f"unknown family {name!r}")
         try:
-            params = tuple(map(_decimal, rest.split(","))) if rest.strip() else ()
+            params = tuple(map(integer, rest.split(","))) if rest.strip() else ()
         except ValueError as exc:
             raise SpecError(f"bad parameters in {text!r}") from exc
         return cls(name, params)

@@ -138,20 +138,25 @@ class VertexSet:
         return f"VertexSet(n={self.n}, members={tuple(self)})"
 
 
+def _bfs(adj, a: int):
+    """Breadth-first search from a over the adjacency lists ``adj``:
+    ``(dist, order)``, the distances from a, -1 where a does not reach,
+    and the vertices a reaches in the order the search reached them."""
+    dist = [-1] * len(adj)
+    dist[a] = 0
+    order = [a]
+    for v in order:  # the queue, appended to as it is read
+        down = dist[v] + 1
+        for w in adj[v]:
+            if dist[w] < 0:
+                dist[w] = down
+                order.append(w)
+    return dist, order
+
+
 def is_connected(G: Graph) -> bool:
     """BFS reachability from vertex 0; graphs with n <= 1 count as connected."""
-    if G.n <= 1:
-        return True
-    seen = 1
-    frontier = 1
-    nbr = G.neighbor_masks
-    while frontier:
-        reach = 0
-        for v in bits(frontier):
-            reach |= nbr[v]
-        frontier = reach & ~seen
-        seen |= frontier
-    return seen == (1 << G.n) - 1
+    return G.n <= 1 or len(_bfs(G.adj, 0)[1]) == G.n
 
 
 def _require_connected(G: Graph, what: str) -> None:

@@ -8,10 +8,9 @@ sufficient conditions for a vanishing dual invariant.
 from __future__ import annotations
 
 import math
-from collections import deque
 
 from .errors import NotAnEdgeError
-from .graphs import Graph, VertexSet, _require_connected
+from .graphs import Graph, VertexSet, _bfs, _require_connected
 
 
 class DistMatrix:
@@ -31,22 +30,8 @@ class DistMatrix:
 def all_pairs_distances(G: Graph) -> DistMatrix:
     """BFS from every vertex.  Requires a connected graph on >= 1 vertices."""
     _require_connected(G, "a distance matrix")
-    n, adj = G.n, G.adj
-    rows = []
-    for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = du + 1
-                    queue.append(w)
-        rows.append(tuple(dist))
-    diameter = max(max(row) for row in rows)
-    return DistMatrix(n, tuple(rows), diameter)
+    rows = tuple(tuple(_bfs(G.adj, s)[0]) for s in range(G.n))
+    return DistMatrix(G.n, rows, max(map(max, rows)))
 
 
 def girth(G: Graph, D: DistMatrix):

@@ -105,48 +105,25 @@ def is_variant_set(G: Graph, D: DistMatrix, X: VertexSet, variant: str) -> bool:
     return True
 
 
-def _shadow_row(G: Graph, da) -> list:
-    """Row a of the shadow table, from ``da``, the distances from a:
-    entry b holds w iff b lies strictly between a and w, that is, the
-    descendants of b in the BFS DAG of a.
-
-    One pass over the vertices, farthest from a first: the descendants
-    of b are its neighbours one step farther from a and their own
-    descendants.  One sort and O(n + m) bitmask ORs.
-    """
-    adj = G.adj
-    row = [0] * G.n
-    for b in sorted(range(G.n), key=da.__getitem__, reverse=True):
-        down = da[b] + 1
-        r = 0
-        for w in adj[b]:
-            if da[w] == down:
-                r |= row[w] | 1 << w
-        row[b] = r
-    return row
-
-
 class _Intervals(dict):
     """The rows of ``metric.interval_masks`` for a connected graph, each
     built on first read: ``self[a][v]`` holds w iff w lies strictly
-    between a and v, and ``dist[a]`` holds the distances from a.
+    between a and v.  ``bfs[a]`` keeps the BFS behind row a in the shape
+    ``graphs._bfs`` returns: the distances from a, and the vertices in
+    the order the search reached them.  Each row keeps that order for
+    the shadow pass of ``_Search``, which walks it backwards.
 
     Row a takes one BFS from a, which fills the row as it goes, by the
     recurrence of ``interval_masks``: a vertex v is scanned only after
     every vertex closer to a, so its neighbours one step closer already
     have their entries, and the interior of I(a, v) is the OR of those
-    neighbours and their interiors.  Each row reads no other: taking
-    entry a of an already built row v instead, the same interval, saved
-    nothing measurable (gp on ``random_connected:60,0.1,1`` and
-    ``random_tree:500,1``, and the search and large-sparse op sets of
-    ``perfbench``, timed both ways in one process on 2 shared vCPUs
-    under Python 3.11: every difference within the run-to-run spread).
-    O(n + m) per row, and a solve builds only the rows its search reads.
+    neighbours and their interiors.  O(n + m) per row, and a solve
+    builds only the rows its search reads.
     """
 
     def __init__(self, adj):
         self.adj = adj
-        self.dist = {}
+        self.bfs = {}
 
     def __missing__(self, a: int) -> list:
         adj = self.adj
@@ -165,7 +142,7 @@ class _Intervals(dict):
                 elif dw == up and up:  # a is no interior
                     r |= row[w] | 1 << w
             row[v] = r
-        self.dist[a] = dist
+        self.bfs[a] = dist, order
         self[a] = row
         return row
 
@@ -194,8 +171,21 @@ class _Search(dict):
         self.full = (1 << G.n) - 1
 
     def __missing__(self, a: int) -> list:
-        inside = self.bet[a]  # runs the BFS from a, which fills dist[a]
-        row = self[a] = list(map(or_, _shadow_row(self.G, self.bet.dist[a]), inside))
+        # sh[a][b] holds w iff b lies strictly between a and w: the
+        # neighbours of b one step farther from a and their own sh
+        # entries, so the BFS order of a, walked backwards, fills them
+        inside = self.bet[a]  # runs the BFS from a, which fills bfs[a]
+        da, order = self.bet.bfs[a]
+        adj = self.G.adj
+        sh = [0] * len(adj)
+        for b in reversed(order):
+            down = da[b] + 1
+            r = 0
+            for w in adj[b]:
+                if da[w] == down:
+                    r |= sh[w] | 1 << w
+            sh[b] = r
+        row = self[a] = list(map(or_, sh, inside))
         return row
 
     def links(self, v: int, xs, xmask: int) -> int:

@@ -73,6 +73,35 @@ def test_connectivity():
     assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
 
 
+def _frontier_connected(G):
+    # the reference: a BFS from vertex 0 that grows the reached set by
+    # the OR of the frontier's neighbour masks, one level a round
+    if G.n <= 1:
+        return True
+    seen = frontier = 1
+    nbr = G.neighbor_masks
+    while frontier:
+        reach = 0
+        for v in bits(frontier):
+            reach |= nbr[v]
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen == (1 << G.n) - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=20),
+    p=st.floats(min_value=0.0, max_value=0.4),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_is_connected_matches_the_frontier_reference(n, p, seed):
+    # sparse edge subsets, so that many of the graphs are disconnected
+    rng = random.Random(seed)
+    G = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+    assert is_connected(G) == _frontier_connected(G)
+
+
 @pytest.mark.parametrize(
     "n,edges,omega",
     [

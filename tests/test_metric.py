@@ -18,6 +18,7 @@ from genpos import (
     is_convex,
     is_p4_inner_isometric,
     random_connected,
+    random_tree,
     simplicial_set,
 )
 from genpos.errors import (
@@ -25,7 +26,7 @@ from genpos.errors import (
     EmptySetError,
     NotAnEdgeError,
 )
-from genpos.position import _Intervals, _shadow_row
+from genpos.position import _Intervals, _Search
 
 
 def _family(text):
@@ -129,38 +130,45 @@ def test_interval_masks_match_strict_betweenness(spec, spec_graph):
 
 
 @pytest.mark.parametrize("spec", _METRIC_SPECS)
-def test_shadow_rows_match_strict_betweenness(spec, spec_graph):
-    # sh[a][b] holds w iff b lies strictly between a and w
+def test_half_rows_match_strict_betweenness(spec, spec_graph):
+    # the gp/dual kernel reads half[a][b] only for b != a: it holds w iff
+    # w lies strictly between a and b, or b strictly between a and w
     G = spec_graph(spec)
     n = G.n
     D = all_pairs_distances(G)
+    half = _Search(G)
     for a in range(n):
-        row = _shadow_row(G, D.d[a])
         for b in range(n):
             if b == a:
                 continue
             for w in range(n):
-                expect = w not in (a, b) and _lies_between(D, a, b, w)
-                assert bool(row[b] >> w & 1) == expect
+                expect = w not in (a, b) and (
+                    _lies_between(D, a, w, b) or _lies_between(D, a, b, w)
+                )
+                assert bool(half[a][b] >> w & 1) == expect
 
 
 def _lazy_rows_match_the_whole_tables(G, order):
     # each row the search table builds on first read, in any order, equals
-    # that row of interval_masks, and the distances of its BFS are D's row
+    # that row of interval_masks; its BFS recorded D's row as distances and
+    # an order that reaches every vertex, a first, by nondecreasing distance
     D = all_pairs_distances(G)
     bet = interval_masks(D)
     rows = _Intervals(G.adj)
     order = list(order)
     for a in order:
         assert rows[a] == bet[a]
-        assert rows.dist[a] == list(D.d[a])
+        dist, reached = rows.bfs[a]
+        assert dist == list(D.d[a])
+        assert sorted(reached) == list(range(G.n)) and reached[0] == a
+        assert all(dist[v] <= dist[w] for v, w in zip(reached, reached[1:]))
     assert sorted(rows) == sorted(set(order))
 
 
 @pytest.mark.parametrize("spec", _METRIC_SPECS)
 def test_lazy_interval_rows_match_interval_masks(spec, spec_graph):
     G = spec_graph(spec)
-    # both directions, so that later rows share entries of earlier ones
+    # both directions: a row is the same whichever rows were built before it
     _lazy_rows_match_the_whole_tables(G, range(G.n))
     _lazy_rows_match_the_whole_tables(G, reversed(range(G.n)))
 
@@ -289,6 +297,36 @@ def test_inner_edge_on_path_middle_only():
     assert not is_p4_inner_isometric(P, D, 0, 1)
     with pytest.raises(NotAnEdgeError):
         is_p4_inner_isometric(P, D, 0, 2)
+
+
+def _floyd_warshall(G):
+    # the reference: Floyd and Warshall's O(n^3) shortest-path recurrence
+    n = G.n
+    d = [[0 if u == v else 1 if G.has_edge(u, v) else math.inf for v in range(n)]
+         for u in range(n)]
+    for k in range(n):
+        dk = d[k]
+        for du in d:
+            for v in range(n):
+                if du[k] + dk[v] < du[v]:
+                    du[v] = du[k] + dk[v]
+    return d
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=18),
+    p=st.floats(min_value=0.15, max_value=0.9),
+    seed=st.integers(min_value=0, max_value=10**6),
+    tree=st.booleans(),
+)
+def test_distances_match_floyd_warshall(n, p, seed, tree):
+    # trees for long geodesics, denser random graphs for many of them
+    G = random_tree(n, seed) if tree else random_connected(n, p, seed)
+    D = all_pairs_distances(G)
+    expected = _floyd_warshall(G)
+    assert D.n == n and D.d == tuple(map(tuple, expected))
+    assert D.diameter == max(map(max, expected))
 
 
 @settings(max_examples=60, deadline=None)
