@@ -7,8 +7,9 @@ optional '#' comment lines, one "n m" header line, then m lines "u v"
 with 0 <= u < v < n; writers emit edges sorted lexicographically.
 
 Exit codes: 0 success, 1 law failure, 2 parse or input error,
-3 disconnected input where connectivity is required, 4 size cap hit,
-141 (128 + SIGPIPE) standard output closed by its reader.
+3 disconnected input where connectivity is required, 4 size cap hit or
+input too large to build, 141 (128 + SIGPIPE) standard output closed by
+its reader.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .families import PRODUCT_KINDS, FamilySpec, generate, integer, join, product
 from .graphs import Graph
-from .laws import run_suite
+from .laws import SUITES, run_suite
 from .position import VARIANTS, brute_force, solve
 from .srg import strong_resolving_graph
 
@@ -240,11 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--quiet", action="store_true", help="value only")
 
     check = sub.add_parser("check", help="run a law suite")
-    check.add_argument(
-        "--suite",
-        required=True,
-        choices=("structural", "sufficient", "products", "families", "all"),
-    )
+    check.add_argument("--suite", required=True, choices=SUITES + ("all",))
     check.add_argument("--seed", type=integer, default=0)
     check.add_argument("--json", action="store_true")
     check.set_defaults(func=_cmd_check)
@@ -268,6 +265,10 @@ def main(argv=None) -> int:
         if isinstance(exc, DisconnectedError):
             return _EXIT_DISCONNECTED
         return _EXIT_SIZE if isinstance(exc, SizeError) else _EXIT_INPUT
+    except (MemoryError, OverflowError) as exc:
+        # a size such as edgeless:2**62, refused before anything is built
+        print(f"error: input too large to build: {type(exc).__name__}", file=sys.stderr)
+        return _EXIT_SIZE
     except BrokenPipeError:
         # what is still buffered goes to devnull, so the flush at exit
         # raises no second error

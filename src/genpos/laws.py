@@ -89,10 +89,6 @@ def _same_family(law, instance, G, expected, first, *others, where=-1, **sets):
     )
 
 
-def _is_complete(G: Graph) -> bool:
-    return G.m == G.n * (G.n - 1) // 2
-
-
 # ---------------------------------------------------------------- value laws
 
 
@@ -117,9 +113,9 @@ def _measure(G: Graph, key: str, memo: dict):
     if key == "all_inner":
         return G.m > 0 and all(is_p4_inner_isometric(G, D, x, y) for x, y in G.edges())
     # maximum_sets: per variant, the maximum size and the sets of that size
-    bet, member, levels = interval_masks(D), _membership(G.n), _levels(G.n)
+    member, levels = _membership(G.n), _levels(G.n)
     found = {}
-    for variant, table in _pair_tables(bet, member, *VARIANTS).items():
+    for variant, table in _pair_tables(D, member, *VARIANTS).items():
         best, tops = _largest(table, levels)
         found[variant] = (best, {frozenset(bits(mask)) for mask in bits(tops)})
     return found
@@ -187,8 +183,7 @@ def check_structural(G: Graph, name: str | None = None) -> list[LawReport]:
     full = (1 << n) - 1
     every = (1 << (1 << n)) - 1
     member = _membership(n)
-    bet = interval_masks(D)
-    fam = _pair_tables(bet, member, *VARIANTS, "convex complement")
+    fam = _pair_tables(D, member, *VARIANTS, "convex complement")
 
     simp = simplicial_set(G)
     R = strong_resolving_graph(G)
@@ -317,8 +312,6 @@ def _is_convex_mask(bet, mask: int) -> bool:
 
 def _box_of_convex(betG, betH, nh: int, W_mask: int) -> bool:
     """Is W a product A x B of convex factor sets (empty W counts)?"""
-    if W_mask == 0:
-        return True
     A = 0
     B = 0
     for idx in bits(W_mask):
@@ -355,7 +348,11 @@ def check_products(G: Graph, H: Graph, name: str | None = None) -> list[LawRepor
     # dual is the largest order of a complete factor whose partner has a
     # simplicial vertex, and 0 without one
     expected_dual = max(
-        (A.n for A, B in ((G, H), (H, G)) if _is_complete(A) and len(simplicial_set(B))),
+        (
+            A.n
+            for A, B in ((G, H), (H, G))
+            if _is_clique(A.neighbor_masks, (1 << A.n) - 1) and len(simplicial_set(B))
+        ),
         default=0,
     )
     reports = _value_reports([
@@ -420,25 +417,18 @@ def check_products(G: Graph, H: Graph, name: str | None = None) -> list[LawRepor
 
 
 def _theta_length_vectors(max_order: int):
-    """All valid theta length vectors with total order <= max_order."""
-    budget = max_order - 2
-    out = []
+    """All valid theta length vectors with total order <= max_order, in
+    lexicographic order of their nondecreasing lengths."""
 
-    def rec(prefix: list, used: int):
+    def extend(prefix: tuple, room: int):
         if len(prefix) >= 2:
-            out.append(tuple(prefix))
-        start = prefix[-1] if prefix else 1
-        for length in range(start, budget + 2):
-            if len(prefix) == 1 and length < 2:
-                continue
-            if used + (length - 1) > budget:
-                break
-            prefix.append(length)
-            rec(prefix, used + (length - 1))
-            prefix.pop()
+            yield prefix
+        # only the first length may be 1, and a path of length l adds
+        # l - 1 vertices to the two ends, at most ``room`` of them
+        for length in range(max(prefix[-1], 2) if prefix else 1, room + 2):
+            yield from extend(prefix + (length,), room - (length - 1))
 
-    rec([], 0)
-    return out
+    return list(extend((), max_order - 2))
 
 
 def theta_dual_vanishes(lengths) -> bool:
@@ -607,16 +597,19 @@ _PRODUCT_PAIRS = [
 ]
 
 
+SUITES = ("structural", "sufficient", "products", "families")
+
+
 def run_suite(suite: str, seed: int = 0) -> list[LawReport]:
     """Assemble the default instance grid for one suite and run it.
 
-    Suites: structural, sufficient, products, families, all.  The seed
-    offsets the random instances of the structural and sufficient grids;
-    family grids are fixed.
+    Suites: each name in ``SUITES``, or all, which runs them in turn.
+    The seed offsets the random instances of the structural and
+    sufficient grids; family grids are fixed.
     """
     reports = []
     if suite == "all":
-        for name in ("structural", "sufficient", "products", "families"):
+        for name in SUITES:
             reports += run_suite(name, seed)
     elif suite == "structural":
         for spec in _STRUCTURAL_SPECS:

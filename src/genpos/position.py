@@ -681,15 +681,16 @@ _PAIR_RULES = {
 }
 
 
-def _pair_tables(bet, member, *rules) -> dict:
-    """Tables over all 2**n subsets X of the vertices of ``bet`` (an
-    interval_masks table), with ``member = _membership(n)``, keyed by
-    rule in the order given: X is in a rule's table iff no pair u, v the
-    rule selects has a member of X strictly between u and v.  A rule is
-    a variant name or "convex complement", which holds exactly for the
-    subsets whose complement is convex.  One pass over the pairs serves
-    every rule, so each interval becomes a table once.
+def _pair_tables(D: DistMatrix, member, *rules) -> dict:
+    """Tables over all 2**n subsets X of the vertices of the distance
+    table ``D``, with ``member = _membership(n)``, keyed by rule in the
+    order given: X is in a rule's table iff no pair u, v the rule selects
+    has a member of X strictly between u and v.  A rule is a variant name
+    or "convex complement", which holds exactly for the subsets whose
+    complement is convex.  One pass over the pairs of D's interval table
+    serves every rule, so each interval becomes a table once.
     """
+    bet = interval_masks(D)
     full = (1 << (1 << len(bet))) - 1
     bad = dict.fromkeys(rules, 0)
     if "total" in bad:
@@ -718,8 +719,7 @@ def variant_feasibility(D: DistMatrix, variant: str) -> int:
     table.
     """
     _check_variant(variant)
-    member = _membership(D.n)
-    return _pair_tables(interval_masks(D), member, variant)[variant]
+    return _pair_tables(D, _membership(D.n), variant)[variant]
 
 
 def brute_force(G: Graph, variant: str, max_n: int = 18) -> Certificate:

@@ -196,6 +196,15 @@ def test_oracle_size_cap_exits_4(tmp_path, capsys):
     assert code == 4 and "capped" in err
 
 
+@pytest.mark.parametrize("n", [2**62, 2**63], ids=["memory", "overflow"])
+def test_family_too_large_to_build_exits_4(capsys, n):
+    # CPython refuses the graph's [0] * n before it allocates anything:
+    # MemoryError for 2**62, OverflowError for 2**63
+    code, _, err = run(capsys, "gen", "--family", f"edgeless:{n}")
+    assert code == 4
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("option", ["--seed", "--max-n"])
 @pytest.mark.parametrize("spelling", ["1_0", "+3", "٣"])
 def test_integer_options_are_ascii_decimal(tmp_path, capsys, option, spelling):

@@ -8,6 +8,7 @@ process has loaded for itself do not count.
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import types
@@ -130,3 +131,27 @@ def test_readme_examples_run_and_all_names_the_public_surface():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(genpos.__all__) == sorted(public)
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # every genpos line of README.md's sh blocks exits 0, run in order in
+    # one directory, and prints the output shown under it as # lines
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    monkeypatch.chdir(tmp_path)
+    printed, shown = {}, {}
+    for line in "".join(blocks).splitlines():
+        if line.startswith("genpos "):
+            command = line
+            assert main(shlex.split(line, comments=True)[1:]) == 0, line
+            printed[command] = capsys.readouterr().out
+        elif line.startswith("# "):
+            shown[command] = shown.get(command, "") + line[2:] + "\n"
+    assert shown == {
+        "genpos compute --invariant dual -i c5.txt":
+            "dual = 2\nwitness = 0 1\nmethod = branch_and_bound\n",
+        "genpos compute --invariant all -i k3xk6.txt --json":
+            '{"gp": 7, "outer": 3, "total": 0, "dual": 6}\n',
+    }
+    for command, out in shown.items():
+        assert printed[command] == out, command

@@ -27,6 +27,7 @@ from genpos.errors import DisconnectedError, SizeError, SpecError
 from genpos.laws import (
     LawReport,
     _same_family,
+    _theta_length_vectors,
     chain_cycles_dual_value,
     theta_dual_vanishes,
 )
@@ -306,6 +307,37 @@ def test_theta_case_analysis_table(lengths, vanishes):
     assert theta_dual_vanishes(lengths) == vanishes
     G, _ = generate(FamilySpec("theta", lengths))
     assert (solve(G, "dual").value == 0) == vanishes
+
+
+def _theta_length_vectors_reference(max_order):
+    # the recursion with an explicit prefix list, a ``continue`` for a
+    # second length of 1 and a ``break`` at the vertex budget
+    budget = max_order - 2
+    out = []
+
+    def rec(prefix, used):
+        if len(prefix) >= 2:
+            out.append(tuple(prefix))
+        start = prefix[-1] if prefix else 1
+        for length in range(start, budget + 2):
+            if len(prefix) == 1 and length < 2:
+                continue
+            if used + (length - 1) > budget:
+                break
+            prefix.append(length)
+            rec(prefix, used + (length - 1))
+            prefix.pop()
+
+    rec([], 0)
+    return out
+
+
+def test_theta_length_vectors_match_the_reference():
+    for max_order in range(21):
+        vectors = _theta_length_vectors(max_order)
+        assert vectors == _theta_length_vectors_reference(max_order), max_order
+    assert len(_theta_length_vectors(14)) == 530
+    assert len(_theta_length_vectors(19)) == 2405
 
 
 def test_chain_cycles_closed_form_helper():

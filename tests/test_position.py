@@ -38,6 +38,8 @@ from genpos.position import (
     _gp_decisions,
     _gp_doll,
     _levels,
+    _membership,
+    _pair_tables,
     _Search,
 )
 
@@ -321,6 +323,27 @@ def test_feasibility_table_matches_predicate_random(n, p, seed):
         for mask in range(1 << G.n):
             X = VertexSet.from_mask(G.n, mask)
             assert bool(table >> mask & 1) == is_variant_set(G, D, X, variant)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=9),
+    p=st.floats(min_value=0.2, max_value=0.9),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_one_pass_over_every_rule_matches_one_pass_per_rule(n, p, seed):
+    # the structural laws and the maximum-sets law read all their tables
+    # off one pass over the pairs; each must be what its rule alone gives,
+    # and each variant's the table the oracle reads
+    D = all_pairs_distances(random_connected(n, p, seed))
+    member = _membership(n)
+    rules = (*VARIANTS, "convex complement")
+    tables = _pair_tables(D, member, *rules)
+    assert tuple(tables) == rules
+    for rule in rules:
+        assert tables[rule] == _pair_tables(D, member, rule)[rule]
+    for variant in VARIANTS:
+        assert tables[variant] == variant_feasibility(D, variant)
 
 
 def _named_pairs_positionable(D, X, variant):
@@ -724,13 +747,13 @@ def test_gp_and_dual_build_each_table_once(spec, variant, spec_graph):
     assert bfs and set(bfs.values()) == {1}
 
 
-def test_gp_on_a_long_path_reads_three_rows(spec_graph):
+def test_gp_on_a_long_path_reads_two_rows(spec_graph):
     # the two ends are the only non-cut vertices, and the conflict link
     # of the adjacent pair 0, 1 is every other vertex, so the value pass
-    # and the witness decisions read three interval rows and one half row
+    # and the witness decisions read two interval rows and one half row
     search = _Search(spec_graph("path:200"))
     assert _gp(search) == (2, (0, 1))
-    assert len(search.bet) <= 3 and len(search) <= 1
+    assert len(search.bet) == 2 and len(search) == 1
 
 
 @pytest.mark.parametrize("spec", ["path:200", "star:200"])
@@ -744,12 +767,13 @@ def test_dual_on_a_path_or_a_star_reads_no_row(spec, spec_graph):
     assert len(search.bet) == 0 and len(search) == 0
 
 
-def test_gp_on_a_star_reads_three_rows(spec_graph):
+def test_gp_on_a_star_reads_two_rows(spec_graph):
     # every leaf extends the last optimum with no link test, and only the
-    # witness decision on the centre reads rows
+    # witness decision on the centre reads rows: two interval rows and
+    # two half rows
     search = _Search(spec_graph("star:200"))
     assert _gp(search) == (200, tuple(range(1, 201)))
-    assert len(search.bet) <= 3
+    assert len(search.bet) == 2 and len(search) == 2
 
 
 def test_gp_on_a_tree_builds_fewer_rows_than_vertices(spec_graph):
