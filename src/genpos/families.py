@@ -234,8 +234,6 @@ def random_tree(n: int, seed: int) -> Graph:
         raise SpecError("random_tree needs n >= 1")
     if n == 1:
         return Graph(1, [])
-    if n == 2:
-        return Graph(2, [(0, 1)])
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n

@@ -176,60 +176,55 @@ def _is_clique(nbr, mask: int) -> bool:
 
 
 def cut_components(G: Graph) -> dict:
-    """The cut vertices of G, each mapped to the components of G - c.
+    """The cut vertices of G, a connected graph with at least one vertex,
+    each mapped to the components of G - c.
 
-    A cut vertex is one whose removal leaves its connected component in
-    more than one piece.  Each value is a tuple of vertex masks, one per
-    component of G - c inside the component of c.  One depth-first pass
-    (Hopcroft and Tarjan, CACM 1973) on an explicit stack finds them: a
-    child w of c in the DFS tree splits off with its whole subtree when
-    no back edge from that subtree reaches above c, that is, when
-    ``low[w] >= disc[c]``.  The subtrees that do not split off stay with
-    the rest of the component.  A root is a cut vertex when it has two
-    or more children.
+    A cut vertex is one whose removal leaves G in more than one piece.
+    Each value is a tuple of vertex masks, one per component of G - c.
+    One depth-first pass from vertex 0 (Hopcroft and Tarjan, CACM 1973)
+    on an explicit stack finds them: a child w of c in the DFS tree
+    splits off with its whole subtree when no back edge from that
+    subtree reaches above c, that is, when ``low[w] >= disc[c]``.  The
+    rest of G - c, outside the subtrees that split off, is one more
+    component when it is not empty, and c is a cut vertex iff that gives
+    two or more components.  The rest of the root is always empty, so
+    the root is one when it has two or more children.
     """
     n, adj = G.n, G.adj
     disc = [-1] * n
     low = [0] * n
     sub = [0] * n  # DFS subtree of each vertex, as a mask
+    disc[0] = 0
+    sub[0] = 1
+    t = 1
+    splits = {}
+    stack = [(0, -1, iter(adj[0]))]
+    while stack:
+        v, parent, it = stack[-1]
+        for w in it:
+            if disc[w] < 0:
+                disc[w] = low[w] = t
+                t += 1
+                sub[w] = 1 << w
+                stack.append((w, v, iter(adj[w])))
+                break
+            if w != parent and disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                sub[p] |= sub[v]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:
+                    splits.setdefault(p, []).append(sub[v])
     out = {}
-    t = 0
-    for root in range(n):
-        if disc[root] >= 0:
-            continue
-        disc[root] = low[root] = t
-        t += 1
-        sub[root] = 1 << root
-        splits = {}
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            v, parent, it = stack[-1]
-            for w in it:
-                if disc[w] < 0:
-                    disc[w] = low[w] = t
-                    t += 1
-                    sub[w] = 1 << w
-                    stack.append((w, v, iter(adj[w])))
-                    break
-                if w != parent and disc[w] < low[v]:
-                    low[v] = disc[w]
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    sub[p] |= sub[v]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    if low[v] >= disc[p]:
-                        splits.setdefault(p, []).append(sub[v])
-        for c, parts in splits.items():
-            if c != root:
-                rest = sub[root] & ~(1 << c)
-                for part in parts:
-                    rest &= ~part
-                out[c] = (*parts, rest)
-            elif len(parts) > 1:
-                out[c] = tuple(parts)
+    for c, parts in splits.items():
+        rest = sub[0] ^ 1 << c ^ sum(parts)
+        comps = (*parts, rest) if rest else tuple(parts)
+        if len(comps) > 1:
+            out[c] = comps
     return out
 
 

@@ -157,10 +157,9 @@ class _Search(dict):
     sh[a][b]``, the vertices w such that a is an end of a geodesic
     through all of a, b and w.  No whole distance or interval table is
     built, and the searches skip three kinds of read that cannot drop a
-    candidate (``_branch_and_bound``, ``_gp_doll``).  ``links`` reads no
-    row for an empty set, ``link_up`` keeps the OR of the links of a
-    growing gp set, and ``behind_a_cut`` tells the dual hull which of its
-    vertices need none."""
+    candidate (``_branch_and_bound``, ``_gp_doll``).  ``link_up`` keeps
+    the OR of the links of a growing gp set, and ``behind_a_cut`` tells
+    the dual hull which of its vertices need none."""
 
     def __init__(self, G: Graph):
         self.G = G
@@ -188,33 +187,29 @@ class _Search(dict):
         row = self[a] = list(map(or_, sh, inside))
         return row
 
-    def links(self, v: int, xs, xmask: int) -> int:
-        """The OR over u in ``xs``, whose mask is ``xmask``, of the
-        conflict link ``half[v][u] | half[u][v]``, with the shortcuts of
-        the kernel's include: ``half[a][b]`` is ``bet[a][b]`` for a
-        simplicial b, and that lies in ``half[b][a]``.  So a simplicial v
-        needs no ``half[u][v]``, and ``bet[v]`` serves for ``half[v]``
-        when every u is simplicial."""
-        if not xmask:
-            return 0
-        hv = self[v] if xmask & ~self.simplicial else self.bet[v]
-        out = 0
-        if self.simplicial >> v & 1:
-            for u in xs:
-                out |= hv[u]
-        else:
-            for u in xs:
-                out |= hv[u] | self[u][v]
-        return out
-
     def link_up(self, xs, mask: int, links: int):
-        """Extends ``links``, the OR of the conflict links of the pairs
-        of the first members of ``xs``, whose mask is ``mask``, to the
-        whole list; returns its mask and its links.  A growing set calls
-        it each time it needs its links, and so links each member once."""
+        """Extends ``links``, the OR of the conflict links ``half[v][u] |
+        half[u][v]`` of the pairs of the first members of ``xs``, whose
+        mask is ``mask``, to the whole list; returns its mask and its
+        links.  A growing set calls it each time it needs its links, and
+        so links each member once.  It keeps the shortcuts of the
+        kernel's include: ``half[a][b]`` is ``bet[a][b]`` for a
+        simplicial b, and that lies in ``half[b][a]``.  So no row is read
+        for the first member, a simplicial v needs no ``half[u][v]``, and
+        ``bet[v]`` serves for ``half[v]`` when every earlier u is
+        simplicial."""
+        simplicial = self.simplicial
         for k in range(mask.bit_count(), len(xs)):
-            links |= self.links(xs[k], xs[:k], mask)
-            mask |= 1 << xs[k]
+            v = xs[k]
+            if mask:
+                hv = self[v] if mask & ~simplicial else self.bet[v]
+                if simplicial >> v & 1:
+                    for u in xs[:k]:
+                        links |= hv[u]
+                else:
+                    for u in xs[:k]:
+                        links |= hv[u] | self[u][v]
+            mask |= 1 << v
         return mask, links
 
     def behind_a_cut(self, w: int, closed: int) -> bool:
@@ -549,7 +544,8 @@ def _gp_decisions(search: _Search, doll):
     lowest candidate p by ``doll[p]`` plus the loose cut vertices at or
     above p, and by ``doll`` itself when there are none.  The pins list
     is only ever extended, so ``_Search.link_up`` brings the OR of their
-    conflict links up to date at each call, linking each pin once.
+    conflict links up to date at each call, linking each pin once, and
+    extends that state by v.
     """
     parts, cuts, full = search.parts, search.cuts, search.full
     value = doll[0]
@@ -560,8 +556,7 @@ def _gp_decisions(search: _Search, doll):
         held, forb = linked[:] = search.link_up(pins, *linked)
         if forb >> v & 1:
             return 0
-        forb |= search.links(v, pins, held)
-        held |= 1 << v
+        held, forb = search.link_up(pins + [v], held, forb)
         gone = rejected & ~cuts
         if gone not in ruled:
             free = ~cuts & ~gone

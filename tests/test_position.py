@@ -665,6 +665,38 @@ def test_gp_decisions_with_pins_against_the_oracle_table(
             assert found & need == need and not found & rejected
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    p=st.sampled_from([0.2, 0.35, 0.5, 0.7]),
+    seed=st.integers(min_value=0, max_value=10**6),
+    tree=st.booleans(),
+    data=st.data(),
+)
+def test_link_up_against_the_distance_definition(n, p, seed, tree, data):
+    # the links of a list of distinct vertices are the OR over its pairs
+    # u, v of every other vertex w such that one of u, v, w lies on a
+    # geodesic between the other two; continuing from the state of any
+    # prefix gives the same mask and links
+    G = random_tree(n, seed) if tree else random_connected(n, p, seed)
+    d = all_pairs_distances(G).d
+    xs = data.draw(st.lists(st.integers(0, n - 1), unique=True), label="xs")
+    links = 0
+    for u, v in itertools.combinations(xs, 2):
+        for w in set(range(n)) - {u, v}:
+            if (
+                d[u][w] + d[w][v] == d[u][v]
+                or d[w][u] + d[u][v] == d[w][v]
+                or d[u][v] + d[v][w] == d[u][w]
+            ):
+                links |= 1 << w
+    want = (sum(1 << x for x in xs), links)
+    search = _Search(G)
+    assert search.link_up(xs, 0, 0) == want
+    for k in range(len(xs) + 1):
+        assert search.link_up(xs, *search.link_up(xs[:k], 0, 0)) == want
+
+
 @settings(max_examples=40, deadline=None)
 @given(**_GLUED)
 def test_kernel_on_a_candidate_mask_against_the_oracle_table(
@@ -687,9 +719,8 @@ def test_kernel_on_a_candidate_mask_against_the_oracle_table(
         cand = data.draw(st.integers(0, (1 << n) - 1), label="cand") & ~held
         forb = data.draw(st.integers(0, (1 << n) - 1), label="forb")
         floor = data.draw(st.integers(0, n), label="floor")
-        links = 0  # the kernel needs the conflict links of the pins' pairs
-        for k, u in enumerate(pins):
-            links |= search.links(u, pins[:k], held & ((1 << u) - 1))
+        # the kernel needs the conflict links of the pins' pairs
+        _, links = search.link_up(pins, 0, 0)
         room = held | cand & ~forb
         fits = [X for X in gp_sets if X & held == held and not X & ~room]
         top = max(X.bit_count() for X in fits)
