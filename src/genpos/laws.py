@@ -38,6 +38,7 @@ from .position import (
     _meets,
     _membership,
     _pair_tables,
+    brute_force,
     is_variant_set,
     solve,
 )
@@ -96,8 +97,12 @@ def _measure(G: Graph, key: str, memo: dict):
     """One observed quantity of G: a variant's value, ``diameter``,
     ``girth``, ``min_degree``, ``inner_edge`` (some edge is the middle of
     an isometric P4), ``all_inner`` (G has edges and every one is) or
-    ``maximum_sets``.  ``memo`` keeps G's distance table between keys."""
+    ``maximum_sets``.  ``memo`` keeps G's distance table between keys.
+    gp and dual of a tree come from ``brute_force``: ``solve`` reads them
+    off the tree's legs and leaves, the rule these laws check."""
     if key in VARIANTS:
+        if key in ("gp", "dual") and G.m == G.n - 1:
+            return brute_force(G, key).value
         return solve(G, key).value
     if key == "min_degree":
         return min(map(len, G.adj), default=0)

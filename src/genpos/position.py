@@ -407,7 +407,14 @@ def solve(G: Graph, variant: str) -> Certificate:
     and builds no distance table and no Graph.  It skips the
     transpose of that table when every vertex is maximally distant from
     all others or from none, and its clique search starts on the
-    vertices with a neighbour.  gp and dual run the same
+    vertices with a neighbour.  On a tree, a connected graph with n - 1
+    edges, gp and dual take an O(n) route with the method tag "tree"
+    (``_tree_optimum``).  A leg is the path from a leaf up to the first
+    vertex of degree 3 or more, that vertex excluded.  On a tree that is
+    not a path, gp is the least vertex of every leg and dual the leaf
+    set; on a path of three or more vertices with ends a and b, gp is
+    (0, 1) and dual the least of {a, b} and the two end edges; with
+    n <= 2 both are every vertex.  Elsewhere gp and dual run the same
     branch and bound over the betweenness conflicts, on tables held in
     one object per solve (``_Search``) and shared by every run.  No
     whole distance or interval table is built: a row of intervals is
@@ -423,7 +430,8 @@ def solve(G: Graph, variant: str) -> Certificate:
     only, a Russian-doll step from a simplicial optimum to a simplicial
     vertex, and a dual hull vertex that is the first or steps in through
     a cut vertex of the hull (``_branch_and_bound``, ``_gp_doll``), so
-    dual on a path or a star builds no row.  The gp value pass is a
+    the dual search on a path or a star builds no row.  The gp value
+    pass is a
     Russian-doll search over the other vertices.  From the highest
     vertex down it fills a table, indexed by vertex, of the largest gp
     set among the vertices at or above each one: it first extends the
@@ -453,8 +461,68 @@ def solve(G: Graph, variant: str) -> Certificate:
     if variant == "total":
         simp = simplicial_set(G)
         return Certificate("total", len(simp), simp, "closed_form")
+    if G.m == G.n - 1:  # connected, so a tree
+        witness = _tree_optimum(G, variant)
+        return Certificate(variant, len(witness), VertexSet(G.n, witness), "tree")
     value, witness = (_gp if variant == "gp" else _dual)(_Search(G))
     return Certificate(variant, value, VertexSet(G.n, witness), "branch_and_bound")
+
+
+def _tree_optimum(G: Graph, variant: str) -> tuple:
+    """The lexicographically least optimum of gp or dual on a tree, in
+    O(n).  A leg is the path from a leaf up to the first vertex of degree
+    3 or more, that vertex excluded; a tree that is not a path has one leg
+    per leaf, and the legs are disjoint.
+
+    gp (Manuel and Klavzar, Bull. Aust. Math. Soc. 2018).  A leg hangs
+    from the rest of the tree by one edge, so no geodesic between two
+    vertices outside a leg enters it, and any choice of one vertex per leg
+    is a gp set.  Conversely every member s of a gp set S of two or more
+    vertices is a leaf of the subtree T(S) that S spans, or s would lie
+    between two members.  The part of the tree hanging beyond T(S) at s
+    holds a leaf of the tree, and these parts are disjoint, so |S| is at
+    most the leaf count; at equality each part holds exactly one leaf, so
+    it is a path of vertices of degree 2 from s to that leaf: s lies in
+    that leaf's leg.  So the optima are exactly the sets that hit every
+    leg once, and the least vertex of each leg gives the least of them:
+    any other such set is, member by member in sorted order, no smaller.
+
+    dual.  A dual set S is a gp set with a convex complement, and a
+    convex set of a tree is a connected one; past two vertices the whole
+    tree is no gp set, so the complement is not empty.  If a member s is
+    not a leaf, the complement lies in one component of T - s, and the
+    other components, one at least, lie inside S.  s lies between
+    members of any two components, so the complement's component holds
+    no member and there is just one other, which with s is a gp set that
+    is a subtree, so an edge.  Then S is a leaf and its neighbour of
+    degree 2.  So a dual set of three or more vertices is a set of
+    leaves, and in a tree that is not a path the leaf set, whose
+    complement is connected, is the one optimum.
+
+    A path of n >= 3 vertices with ends a and b has gp 2, and any two
+    vertices form a gp set, so gp gives (0, 1); its dual sets of size 2
+    are {a, b} and the two end edges.  A tree of one or two vertices is
+    its own optimum.
+    """
+    if G.n <= 2:
+        return tuple(range(G.n))
+    adj = G.adj
+    leaves = [v for v, nbrs in enumerate(adj) if len(nbrs) == 1]
+    if len(leaves) == 2:  # a path
+        if variant == "gp":
+            return (0, 1)
+        ends = [tuple(sorted((a, adj[a][0]))) for a in leaves]
+        return min(tuple(leaves), *ends)
+    if variant == "dual":
+        return tuple(leaves)
+    least = []
+    for leaf in leaves:
+        low, back, v = leaf, leaf, adj[leaf][0]
+        while len(adj[v]) == 2:
+            low = min(low, v)
+            back, v = v, adj[v][adj[v][0] == back]
+        least.append(low)
+    return tuple(sorted(least))
 
 
 def _gp(search: _Search):

@@ -10,6 +10,7 @@ from genpos import (
     Graph,
     VertexSet,
     all_pairs_distances,
+    brute_force,
     check_families,
     check_products,
     check_structural,
@@ -478,3 +479,21 @@ def test_family_laws_fail_on_wrong_values(monkeypatch):
         ce = r.counterexample
         rebuilt = Graph(ce["n"], [tuple(e) for e in ce["edges"]])
         assert rebuilt == _instance_graph(r.instance), r.instance
+
+
+def test_tree_rows_read_gp_and_dual_from_the_oracle(monkeypatch):
+    # solve reads gp and dual of a tree off its legs and leaves, the rule
+    # these rows check, so they take both from brute_force: a wrong
+    # oracle fails exactly the value reports on trees
+    def wrong_oracle(G, variant):
+        return SimpleNamespace(value=0 if brute_force(G, variant).value else 1)
+
+    monkeypatch.setattr(genpos.laws, "brute_force", wrong_oracle)
+    reports = check_families(tree_count=4)
+    value_reports = [r for r in reports if r.law != "path-variant-set-families"]
+    for r in value_reports:
+        G = _instance_graph(r.instance)
+        assert r.passed == (G.m != G.n - 1), r.instance
+    # the P4 premise fails on a tree, so only the girth law reads dual
+    reports = check_sufficient(random_tree(9, 3))
+    assert [r.passed for r in reports] == [True, False]

@@ -829,6 +829,35 @@ def test_large_trees_give_the_leaf_count_for_every_variant(spec, leaves, spec_gr
     certs = {variant: solve(G, variant) for variant in VARIANTS}
     assert {k: c.value for k, c in certs.items()} == dict.fromkeys(VARIANTS, leaves)
     assert is_variant_set(G, all_pairs_distances(G), certs["gp"].witness, "gp")
+    # the tree route's witnesses are the search's
+    for variant, search in (("gp", _gp), ("dual", _dual)):
+        assert tuple(certs[variant].witness) == search(_Search(G))[1], variant
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=60),
+    seed=st.integers(min_value=0, max_value=10**6),
+    path=st.booleans(),
+    data=st.data(),
+)
+def test_tree_route_matches_the_search(n, seed, path, data):
+    # on a random tree or a relabelled path, solve reads gp and dual off
+    # the legs and leaves; the search stays the reference, and the oracle
+    # too where it reaches
+    if path:
+        label = data.draw(st.permutations(range(n)), label="labelling")
+        G = Graph(n, [(label[i], label[i + 1]) for i in range(n - 1)])
+    else:
+        G = random_tree(n, seed)
+    for variant, search in (("gp", _gp), ("dual", _dual)):
+        cert = solve(G, variant)
+        assert cert.method == "tree"
+        found = (cert.value, tuple(cert.witness))
+        assert found == search(_Search(G)), variant
+        if n <= 12:
+            oracle = brute_force(G, variant)
+            assert found == (oracle.value, tuple(oracle.witness)), variant
 
 
 @pytest.mark.parametrize(
