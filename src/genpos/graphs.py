@@ -262,9 +262,8 @@ def maximum_clique(G: Graph):
     """Exact maximum clique: (size, lexicographically least witness tuple).
 
     Size comes from a branch and bound bounded by greedy sequential
-    colouring (Tomita and Seki's MCQ), run on the vertices that have a
-    neighbour: an isolated vertex is a clique only on its own, so a graph
-    with no edge answers at once.  The witness then comes from
+    colouring (Tomita and Seki's MCQ); a graph with no edge answers at
+    once, with its least vertex.  The witness then comes from
     prefix decisions in ascending vertex order: v is pinned if the later
     common neighbours of the pins and v, less the rejected vertices,
     still hold a clique that completes the size, which the same
@@ -278,12 +277,9 @@ def maximum_clique(G: Graph):
 def _maximum_clique(nbr):
     """maximum_clique on the neighbour masks of a graph on 0..len(nbr)-1."""
     n = len(nbr)
-    linked = (1 << n) - 1
-    if 0 in nbr:  # an isolated vertex is a clique only on its own
-        linked = sum(1 << v for v, row in enumerate(nbr) if row)
-    if not linked:
+    if not any(nbr):  # no edge: every clique is one vertex or none
         return min(n, 1), tuple(range(min(n, 1)))
-    size, first = _clique_search(nbr, linked, 1, n)
+    size, first = _clique_search(nbr, (1 << n) - 1, 1, n)
     # pins counted so far, their mask and their common neighbours
     pinned = [0, 0, (1 << n) - 1]
 
@@ -336,16 +332,14 @@ def _clique_search(nbr, P: int, floor: int, ceiling: int):
     taken from the highest colour down.  Candidate i, together with
     everything before it, needs at most its colour in further vertices,
     so the first candidate whose colour cannot beat the best ends the
-    frame.  A candidate set whose colouring uses one colour per vertex
-    is itself a clique and is taken whole, without a child frame.
+    frame.  A child's candidate set whose colouring uses one colour per
+    vertex is itself a clique and is taken whole, without a frame.
 
     Returns ``(size, mask)`` of the largest clique larger than
     ``floor``, or ``(floor, 0)``; the search stops once a clique reaches
     ``ceiling``.
     """
     verts, cols = _colour_classes(nbr, P)
-    if cols and cols[-1] == len(verts):
-        return (len(verts), P) if len(verts) > floor else (floor, 0)
     best, found = floor, 0
     size = chosen = 0
     i = len(verts)

@@ -38,7 +38,6 @@ from .position import (
     _meets,
     _membership,
     _pair_tables,
-    brute_force,
     is_variant_set,
     solve,
 )
@@ -98,12 +97,15 @@ def _measure(G: Graph, key: str, memo: dict):
     ``girth``, ``min_degree``, ``inner_edge`` (some edge is the middle of
     an isometric P4), ``all_inner`` (G has edges and every one is) or
     ``maximum_sets``.  ``memo`` keeps G's distance table between keys.
-    gp and dual of a tree come from ``brute_force``: ``solve`` reads them
-    off the tree's legs and leaves, the rule these laws check."""
+    Every variant of a tree is read off the ``maximum_sets`` subset
+    tables, which are kept in ``memo`` too: ``solve`` reads a tree off
+    its legs and leaves, the rule these laws check."""
     if key in VARIANTS:
-        if key in ("gp", "dual") and G.m == G.n - 1:
-            return brute_force(G, key).value
-        return solve(G, key).value
+        if G.m != G.n - 1:
+            return solve(G, key).value
+        if "maximum_sets" not in memo:
+            memo["maximum_sets"] = _measure(G, "maximum_sets", memo)
+        return memo["maximum_sets"][key][0]
     if key == "min_degree":
         return min(map(len, G.adj), default=0)
     if "distances" not in memo:

@@ -399,80 +399,55 @@ def _branch_and_bound(
 
 
 def solve(G: Graph, variant: str) -> Certificate:
-    """Exact certificate for one variant of a connected graph.
+    """Exact certificate for one variant of a connected graph, whose
+    witness is the lexicographically least optimum.
 
-    total uses the simplicial set directly and outer takes a maximum
-    clique of the strong resolving graph; outer works on that graph's
-    neighbour masks alone, from one bit-parallel BFS over the 2-core,
-    and builds no distance table and no Graph.  It skips the
-    transpose of that table when every vertex is maximally distant from
-    all others or from none, and its clique search starts on the
-    vertices with a neighbour.  On a tree, a connected graph with n - 1
-    edges, gp and dual take an O(n) route with the method tag "tree"
-    (``_tree_optimum``).  A leg is the path from a leaf up to the first
-    vertex of degree 3 or more, that vertex excluded.  On a tree that is
-    not a path, gp is the least vertex of every leg and dual the leaf
-    set; on a path of three or more vertices with ends a and b, gp is
-    (0, 1) and dual the least of {a, b} and the two end edges; with
-    n <= 2 both are every vertex.  Elsewhere gp and dual run the same
-    branch and bound over the betweenness conflicts, on tables held in
-    one object per solve (``_Search``) and shared by every run.  No
-    whole distance or interval table is built: a row of intervals is
-    built on first read, from one BFS of its source, and the shadow row
-    of the same source from that BFS's distances.  Each chosen pair
-    forbids its whole conflict link, so every vertex not forbidden is
-    addable, and pairs of simplicial vertices need no shadow rows.
-    Both start with the cut vertices forbidden, found by one
-    Hopcroft-Tarjan pass.  For gp that is the exchange lemma (``_gp``):
-    some optimum holds no cut vertex.  Every search takes its candidates
-    as a bitmask, lowest vertex first.  A search skips each row read
-    that cannot drop a candidate: an include among simplicial vertices
-    only, a Russian-doll step from a simplicial optimum to a simplicial
-    vertex, and a dual hull vertex that is the first or steps in through
-    a cut vertex of the hull (``_branch_and_bound``, ``_gp_doll``), so
-    the dual search on a path or a star builds no row.  The gp value
-    pass is a
-    Russian-doll search over the other vertices.  From the highest
-    vertex down it fills a table, indexed by vertex, of the largest gp
-    set among the vertices at or above each one: it first extends the
-    last optimum by the new vertex, with a few ORs, and only when that
-    fails runs the search with the vertex pinned, bounded by the table,
-    for a set one larger.  Its lexicographically least witness comes
-    from prefix decisions in ascending vertex order, each a run of the
-    same search from the vertices pinned so far, bounded by the same
-    table plus one for each cut vertex above the entry that the run
-    leaves free; a successful run returns a whole optimum, whose later
-    members are pinned without a search.  For dual a set holding a cut
-    vertex has a fixed shape that is checked apart (``_dual``).  The
-    dual search also forbids the convex hull of the vertices it has
-    excluded, which no dual set below that point can meet, and a set
-    counts once that hull is its whole complement.  It runs once, and
-    the first set it counts at the final size is the witness.  Every
-    cut removes only subtrees without a better set, so witnesses are
-    lexicographically least among the optima.  Every search here, the
-    clique searches too, runs on an explicit stack, so no answer depends
-    on the recursion limit.
+    A tree, a connected graph with n - 1 edges, is one case for every
+    variant: an O(n) rule with the method tag "tree" (``_tree_optimum``).
+    Otherwise total is the simplicial set ("closed_form"), outer a
+    maximum clique of the strong resolving graph ("clique";
+    ``srg._strong_resolving_rows``, ``graphs.maximum_clique``), and gp
+    and dual run one branch and bound over the betweenness conflicts
+    ("branch_and_bound"; ``_Search``, ``_branch_and_bound``, ``_gp``,
+    ``_dual``).  Every search, the clique searches too, runs on an
+    explicit stack, so no answer depends on the recursion limit.
     """
     _check_variant(variant)
     _require_connected(G, "solve")
+    if G.m == G.n - 1:  # connected, so a tree
+        witness = _tree_optimum(G, variant)
+        return Certificate(variant, len(witness), VertexSet(G.n, witness), "tree")
     if variant == "outer":
         size, witness = _maximum_clique(_strong_resolving_rows(G))
         return Certificate("outer", size, VertexSet(G.n, witness), "clique")
     if variant == "total":
         simp = simplicial_set(G)
         return Certificate("total", len(simp), simp, "closed_form")
-    if G.m == G.n - 1:  # connected, so a tree
-        witness = _tree_optimum(G, variant)
-        return Certificate(variant, len(witness), VertexSet(G.n, witness), "tree")
     value, witness = (_gp if variant == "gp" else _dual)(_Search(G))
     return Certificate(variant, value, VertexSet(G.n, witness), "branch_and_bound")
 
 
 def _tree_optimum(G: Graph, variant: str) -> tuple:
-    """The lexicographically least optimum of gp or dual on a tree, in
-    O(n).  A leg is the path from a leaf up to the first vertex of degree
-    3 or more, that vertex excluded; a tree that is not a path has one leg
-    per leaf, and the legs are disjoint.
+    """The lexicographically least optimum of a variant on a tree, in
+    O(n).  A tree of one or two vertices is its own optimum.
+
+    total.  The total sets are the sets of simplicial vertices.  A
+    vertex with two neighbours in a tree has a non-adjacent pair among
+    them, so the simplicial vertices are the leaves, and the leaf set is
+    the one optimum.
+
+    outer.  The outer sets of two or more vertices are the sets of
+    mutually maximally distant vertices.  A vertex c of degree 2 or more
+    is a cut vertex, so from any other source it has a neighbour farther
+    away, in a component of T - c that misses the source: c is maximally
+    distant from no vertex.  A leaf's one neighbour lies on every
+    geodesic to it, so the leaves are pairwise mutually maximally
+    distant, and the leaf set, of two or more vertices, is the one
+    optimum.
+
+    For gp and dual, a leg is the path from a leaf up to the first vertex
+    of degree 3 or more, that vertex excluded; a tree that is not a path
+    has one leg per leaf, and the legs are disjoint.
 
     gp (Manuel and Klavzar, Bull. Aust. Math. Soc. 2018).  A leg hangs
     from the rest of the tree by one edge, so no geodesic between two
@@ -501,20 +476,19 @@ def _tree_optimum(G: Graph, variant: str) -> tuple:
 
     A path of n >= 3 vertices with ends a and b has gp 2, and any two
     vertices form a gp set, so gp gives (0, 1); its dual sets of size 2
-    are {a, b} and the two end edges.  A tree of one or two vertices is
-    its own optimum.
+    are {a, b} and the two end edges.
     """
     if G.n <= 2:
         return tuple(range(G.n))
     adj = G.adj
     leaves = [v for v, nbrs in enumerate(adj) if len(nbrs) == 1]
+    if variant != "gp" and (variant != "dual" or len(leaves) > 2):
+        return tuple(leaves)  # total, outer, and dual unless on a path
     if len(leaves) == 2:  # a path
         if variant == "gp":
             return (0, 1)
         ends = [tuple(sorted((a, adj[a][0]))) for a in leaves]
         return min(tuple(leaves), *ends)
-    if variant == "dual":
-        return tuple(leaves)
     least = []
     for leaf in leaves:
         low, back, v = leaf, leaf, adj[leaf][0]

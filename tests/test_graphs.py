@@ -198,7 +198,8 @@ def test_maximum_clique_against_subset_enumeration(n, density, seed):
 def test_maximum_clique_with_isolated_vertices_against_subset_enumeration(
     n, density, seed
 ):
-    # isolated vertices at random labels: the search starts without them
+    # isolated vertices at random labels: the least one answers an
+    # edgeless graph, and the search colours them with the rest otherwise
     rng = random.Random(seed)
     isolated = set(rng.sample(range(n), rng.randrange(1, n + 1)))
     pairs = itertools.combinations(sorted(set(range(n)) - isolated), 2)
@@ -217,9 +218,10 @@ def _complete_on(n, members):
         (Graph(5), (1, (0,))),
         (Graph(1), (1, (0,))),
         (Graph(3), (1, (0,))),
-        # vertex 0 is isolated, so the search runs on 1 and 2 only
+        # vertex 0 is isolated: the lower vertex, but the smaller clique
         (Graph(3, [(1, 2)]), (2, (1, 2))),
-        # the whole graph is one colour per vertex, taken without a search
+        # the candidates of the first vertex taken are one colour per
+        # vertex, so they are taken whole, without a frame
         (_complete_on(5, range(5)), (5, (0, 1, 2, 3, 4))),
         # the clique is found whole below the root
         (_complete_on(8, range(2, 7)), (5, (2, 3, 4, 5, 6))),

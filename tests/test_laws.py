@@ -10,7 +10,6 @@ from genpos import (
     Graph,
     VertexSet,
     all_pairs_distances,
-    brute_force,
     check_families,
     check_products,
     check_structural,
@@ -32,6 +31,7 @@ from genpos.laws import (
     chain_cycles_dual_value,
     theta_dual_vanishes,
 )
+from genpos.position import _largest
 
 
 def _family(text):
@@ -471,9 +471,10 @@ def test_family_laws_fail_on_wrong_values(monkeypatch):
 
     monkeypatch.setattr(genpos.laws, "solve", wrong_solve)
     reports = check_families(tree_count=2)
-    # the maximum-set law reads the feasibility tables, not the solver
-    value_reports = [r for r in reports if r.law != "path-variant-set-families"]
-    assert len(value_reports) == len(reports) - 11
+    # the rows on trees read the subset tables: both path laws, the two
+    # random trees and complete:2
+    value_reports = [r for r in reports if not _is_tree(_instance_graph(r.instance))]
+    assert len(value_reports) == len(reports) - 11 - 11 - 2 - 1
     assert not any(r.passed for r in value_reports)
     for r in value_reports:
         ce = r.counterexample
@@ -481,19 +482,27 @@ def test_family_laws_fail_on_wrong_values(monkeypatch):
         assert rebuilt == _instance_graph(r.instance), r.instance
 
 
-def test_tree_rows_read_gp_and_dual_from_the_oracle(monkeypatch):
-    # solve reads gp and dual of a tree off its legs and leaves, the rule
-    # these rows check, so they take both from brute_force: a wrong
-    # oracle fails exactly the value reports on trees
-    def wrong_oracle(G, variant):
-        return SimpleNamespace(value=0 if brute_force(G, variant).value else 1)
+def _is_tree(G):
+    return G.m == G.n - 1
 
-    monkeypatch.setattr(genpos.laws, "brute_force", wrong_oracle)
+
+def test_tree_rows_read_every_variant_from_the_subset_tables(monkeypatch):
+    # solve reads every variant of a tree off its legs and leaves, the
+    # rules these rows check, so they take the values from the subset
+    # tables: a wrong table source fails exactly the value reports on
+    # trees and the maximum-sets law
+    def wrong_largest(table, levels):
+        value, tops = _largest(table, levels)
+        return (0 if value else 1), tops
+
+    monkeypatch.setattr(genpos.laws, "_largest", wrong_largest)
     reports = check_families(tree_count=4)
-    value_reports = [r for r in reports if r.law != "path-variant-set-families"]
-    for r in value_reports:
-        G = _instance_graph(r.instance)
-        assert r.passed == (G.m != G.n - 1), r.instance
+    for r in reports:
+        assert r.passed != _is_tree(_instance_graph(r.instance)), r.instance
+    failed = {r.law for r in reports if not r.passed}
+    assert failed == {
+        "path-invariants-two", "path-variant-set-families", "block-graph-four-equal"
+    }
     # the P4 premise fails on a tree, so only the girth law reads dual
     reports = check_sufficient(random_tree(9, 3))
     assert [r.passed for r in reports] == [True, False]

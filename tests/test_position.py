@@ -30,7 +30,7 @@ from genpos.errors import (
     EmptySetError,
     SizeError,
 )
-from genpos.graphs import bits
+from genpos.graphs import _maximum_clique, bits
 from genpos.position import (
     _branch_and_bound,
     _dual,
@@ -42,6 +42,7 @@ from genpos.position import (
     _pair_tables,
     _Search,
 )
+from genpos.srg import _strong_resolving_rows
 
 
 def _family(text):
@@ -817,6 +818,18 @@ def test_gp_on_a_tree_builds_fewer_rows_than_vertices(spec_graph):
     assert len(search.bet) < G.n
 
 
+def _tree_reference(G, variant):
+    # (value, witness) by the route solve takes on a graph that is not a
+    # tree: the simplicial set for total, the maximum clique of the
+    # strong resolving graph for outer, and the search for gp and dual
+    if variant == "total":
+        simp = simplicial_set(G)
+        return len(simp), tuple(simp)
+    if variant == "outer":
+        return _maximum_clique(_strong_resolving_rows(G))
+    return (_gp if variant == "gp" else _dual)(_Search(G))
+
+
 @pytest.mark.parametrize(
     "spec,leaves",
     [("random_tree:100,1", 35), ("random_tree:150,3", 60), ("random_tree:200,2", 73)],
@@ -829,9 +842,9 @@ def test_large_trees_give_the_leaf_count_for_every_variant(spec, leaves, spec_gr
     certs = {variant: solve(G, variant) for variant in VARIANTS}
     assert {k: c.value for k, c in certs.items()} == dict.fromkeys(VARIANTS, leaves)
     assert is_variant_set(G, all_pairs_distances(G), certs["gp"].witness, "gp")
-    # the tree route's witnesses are the search's
-    for variant, search in (("gp", _gp), ("dual", _dual)):
-        assert tuple(certs[variant].witness) == search(_Search(G))[1], variant
+    # the tree route's witnesses are the references'
+    for variant, cert in certs.items():
+        assert tuple(cert.witness) == _tree_reference(G, variant)[1], variant
 
 
 @settings(max_examples=80, deadline=None)
@@ -842,19 +855,19 @@ def test_large_trees_give_the_leaf_count_for_every_variant(spec, leaves, spec_gr
     data=st.data(),
 )
 def test_tree_route_matches_the_search(n, seed, path, data):
-    # on a random tree or a relabelled path, solve reads gp and dual off
-    # the legs and leaves; the search stays the reference, and the oracle
-    # too where it reaches
+    # on a random tree or a relabelled path, solve reads every variant off
+    # the legs and leaves; the general routes stay the references, and
+    # the oracle too where it reaches
     if path:
         label = data.draw(st.permutations(range(n)), label="labelling")
         G = Graph(n, [(label[i], label[i + 1]) for i in range(n - 1)])
     else:
         G = random_tree(n, seed)
-    for variant, search in (("gp", _gp), ("dual", _dual)):
+    for variant in VARIANTS:
         cert = solve(G, variant)
         assert cert.method == "tree"
         found = (cert.value, tuple(cert.witness))
-        assert found == search(_Search(G)), variant
+        assert found == _tree_reference(G, variant), variant
         if n <= 12:
             oracle = brute_force(G, variant)
             assert found == (oracle.value, tuple(oracle.witness)), variant
@@ -911,11 +924,14 @@ def test_easy_large_instances(spec, variant, value, witness, spec_graph):
     ],
 )
 def test_easy_large_outer_instances(spec, value, witness, spec_graph):
-    # outer on a tree is its set of leaves, the mutually maximally
-    # distant clique, so the witness is compared to the leaves directly
+    # outer and total on a tree are its set of leaves: the mutually
+    # maximally distant clique and the simplicial set, each compared to
+    # the leaves and to its reference
     G = spec_graph(spec)
     leaves = tuple(v for v in range(G.n) if G.degree(v) == 1)
-    cert = solve(G, "outer")
-    assert (cert.value, tuple(cert.witness)) == (len(leaves), leaves)
+    for variant in ("outer", "total"):
+        cert = solve(G, variant)
+        found = (cert.value, tuple(cert.witness))
+        assert found == (len(leaves), leaves) == _tree_reference(G, variant), variant
     if value is not None:
-        assert (cert.value, tuple(cert.witness)) == (value, witness)
+        assert (len(leaves), leaves) == (value, witness)
