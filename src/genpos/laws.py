@@ -38,6 +38,7 @@ from .position import (
     _meets,
     _membership,
     _pair_tables,
+    brute_force,
     is_variant_set,
     solve,
 )
@@ -93,10 +94,12 @@ def _same_family(law, instance, G, expected, first, *others, where=-1, **sets):
 
 
 def _measure(G: Graph, key: str, memo: dict):
-    """One observed quantity of G: a variant's value, ``diameter``,
-    ``girth``, ``min_degree``, ``inner_edge`` (some edge is the middle of
-    an isometric P4), ``all_inner`` (G has edges and every one is) or
-    ``maximum_sets``.  ``memo`` keeps G's distance table between keys.
+    """One observed quantity of G: a variant's value,
+    ``brute_force_dual`` (the dual value by the exhaustive oracle),
+    ``diameter``, ``girth``, ``min_degree``, ``inner_edge`` (some edge is
+    the middle of an isometric P4), ``all_inner`` (G has edges and every
+    one is) or ``maximum_sets``.  ``memo`` keeps G's distance table
+    between keys.
     Every variant of a tree is read off the ``maximum_sets`` subset
     tables, which are kept in ``memo`` too: ``solve`` reads a tree off
     its legs and leaves, the rule these laws check."""
@@ -106,6 +109,8 @@ def _measure(G: Graph, key: str, memo: dict):
         if "maximum_sets" not in memo:
             memo["maximum_sets"] = _measure(G, "maximum_sets", memo)
         return memo["maximum_sets"][key][0]
+    if key == "brute_force_dual":
+        return brute_force(G, "dual").value
     if key == "min_degree":
         return min(map(len, G.adj), default=0)
     if "distances" not in memo:
@@ -275,16 +280,20 @@ def check_sufficient(G: Graph, name: str | None = None) -> list[LawReport]:
 
     If every edge is the middle edge of an isometric 4-vertex path the
     dual invariant is 0; and for girth >= 6 (a forest counts) the dual
-    invariant is 0 exactly when the minimum degree is at least 2.
+    invariant is 0 exactly when the minimum degree is at least 2.  The
+    dual value comes from ``brute_force``: ``solve`` answers 0 by the
+    first premise itself, so it would check the law against itself.
     """
     if G.n > 18:
         raise SizeError(f"sufficient-condition checks capped at n <= 18, got {G.n}")
     name = name or f"graph(n={G.n},m={G.m})"
 
     # where a premise fails, the law expects only the failed premise, so
-    # it holds vacuously and the dual invariant is not solved for it
+    # it holds vacuously and the dual invariant is not measured for it
     def all_inner(look):
-        return dict(dual=0) if look("all_inner") else dict(all_inner=False)
+        if look("all_inner"):
+            return dict(brute_force_dual=0)
+        return dict(all_inner=False)
 
     def girth6(look):
         g = look("girth")
@@ -292,7 +301,7 @@ def check_sufficient(G: Graph, name: str | None = None) -> list[LawReport]:
             return dict(girth=g)
         low = look("min_degree")
         dual = 0 if low >= 2 else range(1, G.n + 1)
-        return dict(girth=g, min_degree=low, dual=dual)
+        return dict(girth=g, min_degree=low, brute_force_dual=dual)
 
     return _value_reports([
         ("all-edges-p4-inner-dual-zero", name, G,

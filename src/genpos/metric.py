@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .errors import NotAnEdgeError
-from .graphs import Graph, VertexSet, _bfs, _require_connected
+from .graphs import Graph, VertexSet, _bfs, _require_connected, bits
 
 
 class DistMatrix:
@@ -147,3 +147,38 @@ def is_p4_inner_isometric(G: Graph, D: DistMatrix, x: int, y: int) -> bool:
             if da[b] == 3:
                 return True
     return False
+
+
+def _all_edges_inner(G: Graph) -> bool:
+    """True iff G has an edge and every edge is the middle edge of an
+    isometric 4-vertex path, read off the neighbour masks alone: no
+    distance table is built, and the test stops at the first edge that
+    is not inner.
+
+    Edge xy is inner iff some a in N(x) - N[y] and b in N(y) - N[x] have
+    b outside N(a) and no common neighbour.  Then d(a, y) = d(x, b) = 2,
+    and d(a, b) = 3, since a-x-y-b is a walk of length 3.
+
+    On a connected graph the premise makes dual 0 (the paper's
+    sufficient condition).  Let S be a nonempty dual set and C its
+    complement, which is convex.
+    1. No edge xy has both ends in S.  Take an isometric P4 a-x-y-b.  If
+       a were in S, x would lie inside the geodesic a-x-y between members
+       of S, so a is not in S, and likewise b is not.  Then x lies in
+       I(a, b) outside C.
+    2. So C is not empty, and G being connected, some edge xy has x in S
+       and y in C.  For its P4 a-x-y-b, a in C would put x in I(a, y)
+       outside C.  So a is in S, and the edge ax contradicts step 1.
+    K1 has no edge and dual 1, so the premise needs an edge.
+    """
+    nbr = G.neighbor_masks
+    for x, y in G.edges():
+        nx, ny = nbr[x], nbr[y]
+        ends = list(bits(ny & ~nx & ~(1 << x)))
+        if not any(
+            not nbr[a] & (nbr[b] | 1 << b)
+            for a in bits(nx & ~ny & ~(1 << y))
+            for b in ends
+        ):
+            return False
+    return G.m > 0

@@ -38,7 +38,13 @@ from .graphs import (
     bits,
     cut_components,
 )
-from .metric import DistMatrix, all_pairs_distances, interval_masks, simplicial_set
+from .metric import (
+    DistMatrix,
+    _all_edges_inner,
+    all_pairs_distances,
+    interval_masks,
+    simplicial_set,
+)
 from .srg import _strong_resolving_rows
 
 VARIANTS = ("gp", "total", "outer", "dual")
@@ -406,11 +412,14 @@ def solve(G: Graph, variant: str) -> Certificate:
     variant: an O(n) rule with the method tag "tree" (``_tree_optimum``).
     Otherwise total is the simplicial set ("closed_form"), outer a
     maximum clique of the strong resolving graph ("clique";
-    ``srg._strong_resolving_rows``, ``graphs.maximum_clique``), and gp
-    and dual run one branch and bound over the betweenness conflicts
-    ("branch_and_bound"; ``_Search``, ``_branch_and_bound``, ``_gp``,
-    ``_dual``).  Every search, the clique searches too, runs on an
-    explicit stack, so no answer depends on the recursion limit.
+    ``srg._strong_resolving_rows``, ``graphs.maximum_clique``), and dual
+    is 0 with the empty witness when every edge is the middle edge of an
+    isometric P4 ("inner_edges"; ``metric._all_edges_inner``, a test on
+    neighbour masks that builds no table).  Else gp and dual run one
+    branch and bound over the betweenness conflicts ("branch_and_bound";
+    ``_Search``, ``_branch_and_bound``, ``_gp``, ``_dual``).  Every
+    search, the clique searches too, runs on an explicit stack, so no
+    answer depends on the recursion limit.
     """
     _check_variant(variant)
     _require_connected(G, "solve")
@@ -423,6 +432,8 @@ def solve(G: Graph, variant: str) -> Certificate:
     if variant == "total":
         simp = simplicial_set(G)
         return Certificate("total", len(simp), simp, "closed_form")
+    if variant == "dual" and _all_edges_inner(G):
+        return Certificate("dual", 0, VertexSet(G.n, ()), "inner_edges")
     value, witness = (_gp if variant == "gp" else _dual)(_Search(G))
     return Certificate(variant, value, VertexSet(G.n, witness), "branch_and_bound")
 

@@ -10,6 +10,7 @@ from genpos import (
     Graph,
     VertexSet,
     all_pairs_distances,
+    brute_force,
     check_families,
     check_products,
     check_structural,
@@ -88,7 +89,7 @@ def test_sufficient_laws_on_named_instances():
     reports = check_sufficient(_family("cycle:8"), "cycle:8")
     by_law = _by_law(reports)
     assert by_law["all-edges-p4-inner-dual-zero"][0].passed
-    assert "dual=0" in by_law["all-edges-p4-inner-dual-zero"][0].actual
+    assert "brute_force_dual=0" in by_law["all-edges-p4-inner-dual-zero"][0].actual
     # a tree has infinite girth and leaves, so dual > 0 and min degree 1
     tree = Graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
     reports = check_sufficient(tree, "tree")
@@ -96,14 +97,20 @@ def test_sufficient_laws_on_named_instances():
     assert by_law["girth6-dual-zero-iff-mindeg2"][0].passed
 
 
-def test_sufficient_laws_solve_dual_once_and_only_when_one_applies(monkeypatch):
+def test_sufficient_laws_ask_the_oracle_once_and_only_when_one_applies(monkeypatch):
+    # solve answers dual 0 by the first premise itself, so these laws read
+    # dual from the exhaustive oracle and never from solve
     calls = []
 
-    def counted_solve(G, variant):
+    def counted_oracle(G, variant):
         calls.append(variant)
-        return solve(G, variant)
+        return brute_force(G, variant)
 
-    monkeypatch.setattr(genpos.laws, "solve", counted_solve)
+    def no_solve(G, variant):
+        raise AssertionError(f"solve({variant!r}) called")
+
+    monkeypatch.setattr(genpos.laws, "brute_force", counted_oracle)
+    monkeypatch.setattr(genpos.laws, "solve", no_solve)
     # cycle:8 has girth 8 and every edge inner: both laws apply
     assert all(r.passed for r in check_sufficient(_family("cycle:8")))
     assert calls == ["dual"]
@@ -111,13 +118,16 @@ def test_sufficient_laws_solve_dual_once_and_only_when_one_applies(monkeypatch):
     calls.clear()
     assert all(r.passed for r in check_sufficient(_family("complete:4")))
     assert calls == []
+    # a tree has girth inf and leaves: the girth law alone applies
+    assert all(r.passed for r in check_sufficient(_family("path:4")))
+    assert calls == ["dual"]
 
 
 @pytest.mark.parametrize(
     "spec,inner,girth6",
     [
-        ("cycle:8", "dual=0", "girth=8, min_degree=2, dual=0"),
-        ("path:4", "all_inner=False", "girth=inf, min_degree=1, dual=2"),
+        ("cycle:8", "brute_force_dual=0", "girth=8, min_degree=2, brute_force_dual=0"),
+        ("path:4", "all_inner=False", "girth=inf, min_degree=1, brute_force_dual=2"),
         ("complete:4", "all_inner=False", "girth=3"),
     ],
 )
@@ -503,6 +513,14 @@ def test_tree_rows_read_every_variant_from_the_subset_tables(monkeypatch):
     assert failed == {
         "path-invariants-two", "path-variant-set-families", "block-graph-four-equal"
     }
-    # the P4 premise fails on a tree, so only the girth law reads dual
-    reports = check_sufficient(random_tree(9, 3))
-    assert [r.passed for r in reports] == [True, False]
+    # the sufficient laws read dual from the oracle, not from these
+    # tables; the P4 premise fails on a tree, so only the girth law reads
+    # dual, and only a wrong oracle fails it
+    tree = random_tree(9, 3)
+    assert [r.passed for r in check_sufficient(tree)] == [True, True]
+    monkeypatch.setattr(
+        genpos.laws,
+        "brute_force",
+        lambda G, variant: SimpleNamespace(value=int(not brute_force(G, variant).value)),
+    )
+    assert [r.passed for r in check_sufficient(tree)] == [True, False]

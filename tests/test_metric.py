@@ -17,6 +17,7 @@ from genpos import (
     interval_masks,
     is_convex,
     is_p4_inner_isometric,
+    product,
     random_connected,
     random_tree,
     simplicial_set,
@@ -26,6 +27,7 @@ from genpos.errors import (
     EmptySetError,
     NotAnEdgeError,
 )
+from genpos.metric import _all_edges_inner
 from genpos.position import _Intervals, _Search
 
 
@@ -297,6 +299,58 @@ def test_inner_edge_on_path_middle_only():
     assert not is_p4_inner_isometric(P, D, 0, 1)
     with pytest.raises(NotAnEdgeError):
         is_p4_inner_isometric(P, D, 0, 2)
+
+
+def _every_edge_inner_by_distances(G):
+    # the reference: the public test on the whole distance table
+    D = all_pairs_distances(G)
+    return G.m > 0 and all(is_p4_inner_isometric(G, D, x, y) for x, y in G.edges())
+
+
+@pytest.mark.parametrize(
+    "spec,inner",
+    [
+        ("complete:1", False),
+        ("path:2", False),
+        ("path:4", False),
+        ("star:5", False),
+        ("random_tree:30,1", False),
+        ("cycle:5", False),
+        ("cycle:6", True),
+        ("cycle:30", True),
+        ("theta:3,4,5", True),
+        ("theta:2,3,3", False),
+        ("petersen", False),
+        ("cartesian:path:7|path:7", True),
+        ("cartesian:cycle:6|cycle:5", True),
+        ("cartesian:complete:3|cycle:6", True),
+        ("cartesian:complete:4|complete:4", False),
+    ],
+)
+def test_inner_edge_premise_on_masks(spec, inner, spec_graph):
+    G = spec_graph(spec)
+    assert _all_edges_inner(G) == _every_edge_inner_by_distances(G) == inner
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    p=st.floats(min_value=0.25, max_value=0.9),
+    seed=st.integers(min_value=0, max_value=10**6),
+    kind=st.sampled_from(["random", "tree", "product"]),
+    data=st.data(),
+)
+def test_inner_edge_premise_on_masks_matches_the_distances(n, p, seed, kind, data):
+    # random graphs rarely have every edge inner; products of a cycle or a
+    # path with a cycle of six or more often do
+    if kind == "product":
+        a = data.draw(st.sampled_from(["cycle", "path"]), label="factor")
+        k = data.draw(st.integers(min_value=3, max_value=10), label="cycle length")
+        A, B = _family(f"{a}:{max(3, n // k)}"), _family(f"cycle:{k}")
+        G = product(A, B, "cartesian")
+    else:
+        G = random_tree(n, seed) if kind == "tree" else random_connected(n, p, seed)
+    assert _all_edges_inner(G) == _every_edge_inner_by_distances(G)
 
 
 def _floyd_warshall(G):

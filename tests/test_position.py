@@ -31,6 +31,7 @@ from genpos.errors import (
     SizeError,
 )
 from genpos.graphs import _maximum_clique, bits
+from genpos.metric import _all_edges_inner
 from genpos.position import (
     _branch_and_bound,
     _dual,
@@ -200,6 +201,7 @@ def test_certificate_fields_and_methods():
     assert solve(C5, "total").method == "closed_form"
     assert solve(C5, "outer").method == "clique"
     assert solve(C5, "gp").method == "branch_and_bound"
+    assert solve(_family("cycle:6"), "dual").method == "inner_edges"
     assert brute_force(C5, "gp").method == "exhaustive"
     with pytest.raises(ValueError):
         Certificate("dual", 3, cert.witness, "branch_and_bound")
@@ -735,17 +737,9 @@ def test_kernel_on_a_candidate_mask_against_the_oracle_table(
             assert (size, members) == (floor, ())
 
 
-@pytest.mark.parametrize(
-    "spec", ["random_connected:30,0.15,2", "cartesian:path:7|path:7"]
-)
-@pytest.mark.parametrize("variant", ["gp", "dual"])
-def test_gp_and_dual_build_each_table_once(spec, variant, spec_graph):
-    # one search object per solve builds the tables that every kernel
-    # run, the Russian-doll pass and the witness decisions read: the
-    # simplicial set and the cut vertices once, each interval row on
-    # first read from one BFS of its source, and no whole distance or
-    # interval table at all
-    G = spec_graph(spec)
+def _tables_built(G, variant):
+    # the certificate of one solve, how often each whole-graph table
+    # builder ran, and how often each interval row was built
     builders = (
         "all_pairs_distances",
         "interval_masks",
@@ -769,14 +763,42 @@ def test_gp_and_dual_build_each_table_once(spec, variant, spec_graph):
             )
             for name in builders
         }
-        solve(G, variant)
-    assert {name: spy.call_count for name, spy in calls.items()} == {
+        cert = solve(G, variant)
+    return cert, {name: spy.call_count for name, spy in calls.items()}, bfs
+
+
+@pytest.mark.parametrize(
+    "variant,spec",
+    [
+        ("gp", "random_connected:30,0.15,2"),
+        ("gp", "cartesian:path:7|path:7"),
+        ("dual", "random_connected:30,0.15,2"),
+        # a product whose edges are not all inner, so the dual search runs
+        ("dual", "cartesian:complete:4|complete:8"),
+    ],
+)
+def test_gp_and_dual_build_each_table_once(spec, variant, spec_graph):
+    # one search object per solve builds the tables that every kernel
+    # run, the Russian-doll pass and the witness decisions read: the
+    # simplicial set and the cut vertices once, each interval row on
+    # first read from one BFS of its source, and no whole distance or
+    # interval table at all
+    cert, built, bfs = _tables_built(spec_graph(spec), variant)
+    assert cert.method == "branch_and_bound"
+    assert built == {
         "all_pairs_distances": 0,
         "interval_masks": 0,
         "simplicial_set": 1,
         "cut_components": 1,
     }
     assert bfs and set(bfs.values()) == {1}
+
+
+def test_dual_by_inner_edges_builds_no_table(spec_graph):
+    # every edge of P7 x P7 is inner: the route reads neighbour masks only
+    cert, built, bfs = _tables_built(spec_graph("cartesian:path:7|path:7"), "dual")
+    assert (cert.value, tuple(cert.witness), cert.method) == (0, (), "inner_edges")
+    assert set(built.values()) == {0} and not bfs
 
 
 def test_gp_on_a_long_path_reads_two_rows(spec_graph):
@@ -935,3 +957,44 @@ def test_easy_large_outer_instances(spec, value, witness, spec_graph):
         assert found == (len(leaves), leaves) == _tree_reference(G, variant), variant
     if value is not None:
         assert (len(leaves), leaves) == (value, witness)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [f"cycle:{n}" for n in (6, 7, 12, 100, 400)]
+    + ["cartesian:path:7|path:7", "cartesian:cycle:6|cycle:6"]
+    + ["cartesian:path:15|path:15", "cartesian:path:20|cycle:12"]
+    + ["cartesian:complete:6|cycle:30", "random_connected:300,0.03,2"],
+)
+def test_dual_search_finds_zero_where_every_edge_is_inner(spec, spec_graph):
+    # past the oracle, the search with the inner-edge route bypassed
+    # agrees with the paper's sufficient condition that the route applies
+    G = spec_graph(spec)
+    assert _all_edges_inner(G)
+    assert _dual(_Search(G)) == (0, ())
+    cert = solve(G, "dual")
+    assert (cert.value, tuple(cert.witness), cert.method) == (0, (), "inner_edges")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # the non-tree graphs of the benchmark's solve, oracle and cli ops
+        # whose edges are not all inner
+        "random_connected:30,0.15,2",
+        "cartesian:complete:4|complete:8",
+        "random_connected:300,0.03,1",
+        "random_connected:16,0.3,1",
+        "random_connected:18,0.3,1",
+        "cycle:5",
+        "theta:2,3,3",
+        "random_connected:10,0.3,1",
+        "random_connected:10,0.3,11",
+    ],
+)
+def test_dual_certificate_is_the_search_where_an_edge_is_not_inner(spec, spec_graph):
+    G = spec_graph(spec)
+    assert not _all_edges_inner(G)
+    cert = solve(G, "dual")
+    assert cert.method == "branch_and_bound"
+    assert (cert.value, tuple(cert.witness)) == _dual(_Search(G))
